@@ -15,8 +15,8 @@
 //   --requests N   requests per configuration (default 2000)
 //   --json PATH    output path (default BENCH_http_overhead.json; "" disables)
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -53,18 +53,18 @@ int main(int argc, char** argv) {
   }
 
   // --- stack: untrained fast model behind registry + facade + HTTP ---------
+  // Start from an empty registry, so a rerun in the same directory never
+  // meets the previous run's ACTIVE pointer or manifests.
   const std::string root = "bench_http_registry";
-  std::remove((root + "/v0001/weights.bin").c_str());
+  std::filesystem::remove_all(root);
   {
     registry::ModelRegistry reg(root);
-    if (reg.active_version() == 0) {
-      Rng rng(7);
-      model::CostModel m(model::ModelConfig::fast(), rng);
-      registry::ModelManifest manifest;
-      manifest.config = model::ModelConfig::fast();
-      manifest.provenance = "bench_http_overhead";
-      reg.promote(reg.register_version(m, manifest));
-    }
+    Rng rng(7);
+    model::CostModel m(model::ModelConfig::fast(), rng);
+    registry::ModelManifest manifest;
+    manifest.config = model::ModelConfig::fast();
+    manifest.provenance = "bench_http_overhead";
+    reg.promote(reg.register_version(m, manifest));
   }
   api::ServiceOptions sopt;
   sopt.registry_root = root;

@@ -1,9 +1,8 @@
 // Serving throughput: requests/sec of serve::PredictionService as a function
 // of worker-thread count and dynamic-batching cap, on a mixed-structure
 // request stream (several programs interleaved, many schedules each — the
-// shape of traffic a search produces). Also measures the tape-free fused
-// inference engine against the legacy autograd forward path at a single
-// worker, which is the per-core speedup the search loop sees.
+// shape of traffic a search produces). The autograd-vs-fused engine A/B is
+// bench_micro's BM_CostModelForwardAutograd vs BM_CostModelInferBatch.
 //
 // Flags:
 //   --requests N   total requests per configuration (default 3000)
@@ -57,7 +56,6 @@ Workload make_workload(int num_programs, int schedules_per_program) {
 struct RunResult {
   int workers = 0;
   int max_batch = 0;
-  bool fused = true;
   double requests_per_sec = 0;
   serve::ServeStats stats;
 
@@ -69,15 +67,13 @@ struct RunResult {
 };
 
 RunResult run_configuration(model::SpeedupPredictor& predictor, const Workload& workload,
-                            int workers, int max_batch, int total_requests, int num_clients,
-                            bool fused) {
+                            int workers, int max_batch, int total_requests, int num_clients) {
   serve::ServeOptions options;
   options.num_threads = workers;
   options.max_batch = max_batch;
   options.max_queue_latency = std::chrono::microseconds(500);
   options.cache_capacity = 4096;
   options.features = model::FeatureConfig::fast();
-  options.use_fused_inference = fused;
   serve::PredictionService service(predictor, options);
 
   std::atomic<std::size_t> next{0};
@@ -108,14 +104,13 @@ RunResult run_configuration(model::SpeedupPredictor& predictor, const Workload& 
   RunResult r;
   r.workers = workers;
   r.max_batch = max_batch;
-  r.fused = fused;
   r.requests_per_sec = static_cast<double>(total_requests) / seconds;
   r.stats = service.stats();
   return r;
 }
 
 void write_json(const std::string& path, const std::vector<RunResult>& results,
-                double fused_speedup, int total_requests, int num_clients) {
+                int total_requests, int num_clients) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "cannot write " << path << "\n";
@@ -125,12 +120,10 @@ void write_json(const std::string& path, const std::vector<RunResult>& results,
   out << "  \"bench\": \"serve_throughput\",\n";
   out << "  \"requests_per_config\": " << total_requests << ",\n";
   out << "  \"client_threads\": " << num_clients << ",\n";
-  out << "  \"fused_speedup_single_thread\": " << fused_speedup << ",\n";
   out << "  \"configs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
     out << "    {\"workers\": " << r.workers << ", \"max_batch\": " << r.max_batch
-        << ", \"fused\": " << (r.fused ? "true" : "false")
         << ", \"requests_per_sec\": " << r.requests_per_sec
         << ", \"p50_latency_s\": " << r.stats.p50_latency
         << ", \"p99_latency_s\": " << r.stats.p99_latency
@@ -171,40 +164,31 @@ int main(int argc, char** argv) {
   struct Config {
     int workers;
     int max_batch;
-    bool fused;
   };
-  // The two single-worker batch-64 rows are the tentpole comparison: the
-  // autograd tape vs the tape-free fused engine on one core.
   const std::vector<Config> configs = {
-      {1, 1, true}, {1, 8, true}, {1, 64, false}, {1, 64, true},
-      {2, 64, true}, {4, 1, true}, {4, 8, true}, {4, 64, true},
+      {1, 1}, {1, 8}, {1, 64}, {2, 64}, {4, 1}, {4, 8}, {4, 64},
   };
 
   // Warm-up: fault in code paths and the allocator before timing. (Each
   // configuration constructs its own service and therefore its own feature
   // cache, so all configurations start equally cache-cold.)
-  run_configuration(cost_model, workload, 1, 64, static_cast<int>(workload.size()), 2, true);
+  run_configuration(cost_model, workload, 1, 64, static_cast<int>(workload.size()), 2);
 
-  Table table({"workers", "batch cap", "engine", "req/s", "speedup", "occupancy",
+  Table table({"workers", "batch cap", "req/s", "speedup", "occupancy",
                "cache hit %", "allocs/pred", "p50 ms", "p99 ms"});
   double baseline = 0;
-  double one_worker_64_fused = 0, one_worker_64_autograd = 0, four_worker_64 = 0;
+  double one_worker_64 = 0, four_worker_64 = 0;
   std::vector<RunResult> results;
   for (const Config& cfg : configs) {
     const RunResult r = run_configuration(cost_model, workload, cfg.workers, cfg.max_batch,
-                                          total_requests, num_clients, cfg.fused);
+                                          total_requests, num_clients);
     results.push_back(r);
     if (baseline == 0) baseline = r.requests_per_sec;
-    if (cfg.max_batch == 64 && cfg.workers == 1 && cfg.fused)
-      one_worker_64_fused = r.requests_per_sec;
-    if (cfg.max_batch == 64 && cfg.workers == 1 && !cfg.fused)
-      one_worker_64_autograd = r.requests_per_sec;
-    if (cfg.max_batch == 64 && cfg.workers == 4 && cfg.fused)
-      four_worker_64 = r.requests_per_sec;
+    if (cfg.max_batch == 64 && cfg.workers == 1) one_worker_64 = r.requests_per_sec;
+    if (cfg.max_batch == 64 && cfg.workers == 4) four_worker_64 = r.requests_per_sec;
     const double hit_total =
         static_cast<double>(r.stats.cache_hits + r.stats.cache_misses);
     table.add_row({std::to_string(cfg.workers), std::to_string(cfg.max_batch),
-                   cfg.fused ? "fused" : "autograd",
                    Table::fmt(r.requests_per_sec, 0),
                    Table::fmt(r.requests_per_sec / baseline, 2) + "x",
                    Table::fmt(r.stats.mean_batch_occupancy, 1),
@@ -217,19 +201,13 @@ int main(int argc, char** argv) {
                    Table::fmt(1e3 * r.stats.p99_latency, 2)});
   }
   std::cout << table.to_string() << "\n";
-  double fused_speedup = 0;
-  if (one_worker_64_fused > 0 && one_worker_64_autograd > 0) {
-    fused_speedup = one_worker_64_fused / one_worker_64_autograd;
-    std::cout << "speedup autograd -> fused inference (1 worker, batch cap 64): "
-              << Table::fmt(fused_speedup, 2) << "x\n";
-  }
-  if (one_worker_64_fused > 0 && four_worker_64 > 0)
+  if (one_worker_64 > 0 && four_worker_64 > 0)
     std::cout << "speedup 1 -> 4 workers at batch cap 64: "
-              << Table::fmt(four_worker_64 / one_worker_64_fused, 2) << "x\n";
+              << Table::fmt(four_worker_64 / one_worker_64, 2) << "x\n";
   std::cout << "speedup unbatched -> dynamic batching (1 worker): "
-            << Table::fmt(one_worker_64_fused / baseline, 2) << "x\n";
+            << Table::fmt(one_worker_64 / baseline, 2) << "x\n";
   if (!csv_path.empty()) table.write_csv(csv_path);
   if (!json_path.empty())
-    write_json(json_path, results, fused_speedup, total_requests, num_clients);
+    write_json(json_path, results, total_requests, num_clients);
   return 0;
 }

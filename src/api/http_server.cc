@@ -23,6 +23,9 @@ namespace tcm::api {
 
 namespace {
 
+constexpr const char* kRequestsFamily = "tcm_http_requests_total";
+constexpr const char* kRequestsHelp = "HTTP requests handled, by route and status class";
+
 using http_io::iequals;
 using http_io::send_all;
 
@@ -155,7 +158,20 @@ const std::string* HttpResponse::header(std::string_view name) const {
   return nullptr;
 }
 
-HttpServer::HttpServer(HttpServerOptions options) : options_(std::move(options)) {}
+void declare_http_request_family(obs::MetricsRegistry& metrics) {
+  metrics.counter_family(kRequestsFamily, kRequestsHelp);
+}
+
+HttpServer::HttpServer(HttpServerOptions options)
+    : options_(std::move(options)),
+      metrics_(options_.metrics ? options_.metrics : std::make_shared<obs::MetricsRegistry>()),
+      connections_(&metrics_->counter("tcm_http_connections_total", "HTTP connections accepted")),
+      request_duration_(&metrics_->histogram(
+          "tcm_http_request_duration_seconds",
+          "HTTP request handling wall time (read to response sent) in seconds.", "",
+          obs::exponential_buckets(1e-5, 2.0, 22))) {
+  declare_http_request_family(*metrics_);
+}
 
 HttpServer::~HttpServer() { stop(); }
 
@@ -213,17 +229,9 @@ Status HttpServer::start() {
   }
 
   // The route table is frozen now; one counter row per route (exact, then
-  // prefix) plus the unmatched slot (404/405).
-  const std::size_t slots = routes_.size() + prefix_routes_.size() + 1;
-  route_counts_ = std::make_unique<StatusClassCounts[]>(slots);
-  for (std::size_t r = 0; r < slots; ++r)
-    for (std::atomic<std::uint64_t>& c : route_counts_[r]) c.store(0, std::memory_order_relaxed);
-  if (options_.metrics != nullptr) {
-    request_duration_ = &options_.metrics->histogram(
-        "tcm_http_request_duration_seconds",
-        "HTTP request handling wall time (read to response sent) in seconds.", "",
-        obs::exponential_buckets(1e-5, 2.0, 22));
-  }
+  // prefix) plus the unmatched slot (404/405), all unresolved (null).
+  status_counters_ =
+      std::make_unique<StatusCounters[]>(routes_.size() + prefix_routes_.size() + 1);
 
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
@@ -287,7 +295,7 @@ void HttpServer::accept_loop() {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    connections_.fetch_add(1, std::memory_order_relaxed);
+    connections_->inc();
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       pending_fds_.push_back(fd);
@@ -527,11 +535,8 @@ void HttpServer::serve_connection(int fd, obs::Watchdog::Handle heartbeat) {
     }
     const double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                                .count();
-    if (request_duration_ != nullptr) request_duration_->observe(elapsed);
-    const int status_class = response.status / 100;
-    if (status_class >= 1 && status_class <= 5)
-      route_counts_[route_index][static_cast<std::size_t>(status_class - 1)].fetch_add(
-          1, std::memory_order_relaxed);
+    request_duration_->observe(elapsed);
+    count_request(route_index, response.status);
     if (response.status >= 500) {
       obs::EventLog::instance().emit(
           "http_5xx", "error",
@@ -602,24 +607,26 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request, std::size_t& route
       404, wire_error(404, "NOT_FOUND", "no route for " + request.method + " " + request.path));
 }
 
-std::vector<RouteCount> HttpServer::route_counters() const {
-  std::vector<RouteCount> out;
-  if (route_counts_ == nullptr) return out;
-  static const char* kClasses[5] = {"1xx", "2xx", "3xx", "4xx", "5xx"};
-  const std::size_t slots = routes_.size() + prefix_routes_.size() + 1;
-  for (std::size_t r = 0; r < slots; ++r) {
-    const bool unmatched = r == slots - 1;
-    const RouteKey* key = nullptr;
-    if (!unmatched)
-      key = r < routes_.size() ? &routes_[r].first : &prefix_routes_[r - routes_.size()].first;
-    for (std::size_t c = 0; c < 5; ++c) {
-      const std::uint64_t n = route_counts_[r][c].load(std::memory_order_relaxed);
-      if (n == 0) continue;
-      out.push_back({unmatched ? "other" : key->method, unmatched ? "other" : key->path,
-                     kClasses[c], n});
-    }
+void HttpServer::count_request(std::size_t route_index, int status) {
+  const int status_class = status / 100;
+  if (status_class < 1 || status_class > 5) return;
+  std::atomic<obs::Counter*>& slot =
+      status_counters_[route_index][static_cast<std::size_t>(status_class - 1)];
+  obs::Counter* counter = slot.load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    // First hit of this (route, class): get-or-create, so racing workers
+    // resolve the same counter and either store is correct.
+    const RouteKey unmatched{"other", "other"};
+    const RouteKey& key = route_index < routes_.size() ? routes_[route_index].first
+                          : route_index < routes_.size() + prefix_routes_.size()
+                              ? prefix_routes_[route_index - routes_.size()].first
+                              : unmatched;
+    counter = &metrics_->counter(kRequestsFamily, kRequestsHelp,
+                                 "route=\"" + key.path + "\",method=\"" + key.method +
+                                     "\",code=\"" + std::to_string(status_class) + "xx\"");
+    slot.store(counter, std::memory_order_release);
   }
-  return out;
+  counter->inc();
 }
 
 }  // namespace tcm::api

@@ -108,9 +108,10 @@ struct HttpServerOptions {
   // A request whose handler takes at least this long gets one structured
   // WARN line (method, path, status, ms, request id). 0 disables.
   std::chrono::milliseconds slow_request_threshold{1000};
-  // When set, the server registers tcm_http_request_duration_seconds here
-  // (handler wall time, all routes). Share the service's registry so
-  // /metrics renders everything in one pass.
+  // Registry for the wire-layer instruments: tcm_http_request_duration_seconds
+  // (handler wall time, all routes), tcm_http_requests_total{route,method,code}
+  // and tcm_http_connections_total. Share the service's registry so /metrics
+  // renders everything in one pass; when null the server uses a private one.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   // When set, the acceptor and every connection worker register (critical)
   // heartbeats here. Share the service's watchdog so /healthz covers the
@@ -121,15 +122,13 @@ struct HttpServerOptions {
   std::chrono::milliseconds worker_stall_after{30000};
 };
 
-// One per-route-per-status-class request count (see
-// HttpServer::route_counters). Transport-level rejects that never reach
-// routing (431/400 before dispatch) are not attributed.
-struct RouteCount {
-  std::string method;
-  std::string path;        // "other" for requests matching no route
-  std::string status_class;  // "1xx".."5xx"
-  std::uint64_t count = 0;
-};
+// Declares the tcm_http_requests_total family; its samples appear per
+// (route, method, status class) on first hit, with route="other" for
+// requests matching no route (transport-level rejects that never reach
+// routing are not counted). The server declares it in its registry;
+// api::Service does too, so the family is on /metrics before an HTTP front
+// end is bound.
+void declare_http_request_family(obs::MetricsRegistry& metrics);
 
 class HttpServer {
  public:
@@ -160,24 +159,21 @@ class HttpServer {
   int port() const { return bound_port_; }
   const HttpServerOptions& options() const { return options_; }
 
-  // Wire counters (for /metrics and tests).
-  std::uint64_t connections_accepted() const {
-    return connections_.load(std::memory_order_relaxed);
-  }
+  // tcm_http_connections_total: connections accepted by servers sharing
+  // this server's registry.
+  std::uint64_t connections_accepted() const { return connections_->value(); }
   std::uint64_t requests_handled() const { return requests_.load(std::memory_order_relaxed); }
-
-  // Nonzero per-route × status-class counts (tcm_http_requests_total).
-  // Valid after start(); counters reset on each start().
-  std::vector<RouteCount> route_counters() const;
 
  private:
   struct RouteKey {
     std::string method, path;
     bool operator==(const RouteKey&) const = default;
   };
-  // Status classes 1xx..5xx per route; fixed-size so counting is one
-  // relaxed fetch_add with no lock on the request path.
-  using StatusClassCounts = std::array<std::atomic<std::uint64_t>, 5>;
+  // Counters for status classes 1xx..5xx of one route slot. Each is looked
+  // up in the registry on the first hit of its (route, class) pair — the
+  // only time counting takes the registry mutex — and cached here, so the
+  // request path is one acquire load plus one relaxed fetch_add.
+  using StatusCounters = std::array<std::atomic<obs::Counter*>, 5>;
 
   void accept_loop();
   void worker_loop(int index);
@@ -185,14 +181,17 @@ class HttpServer {
   // `route_index` gets the matched route's index, or routes_.size() when no
   // route matched (404/405).
   HttpResponse dispatch(const HttpRequest& request, std::size_t& route_index) const;
+  void count_request(std::size_t route_index, int status);
 
   HttpServerOptions options_;
   std::vector<std::pair<RouteKey, HttpHandler>> routes_;       // exact paths
   std::vector<std::pair<RouteKey, HttpHandler>> prefix_routes_;
+  std::shared_ptr<obs::MetricsRegistry> metrics_;  // options_.metrics or private
+  obs::Counter* connections_;                      // tcm_http_connections_total
+  obs::Histogram* request_duration_;               // tcm_http_request_duration_seconds
   // One slot per exact route, then per prefix route, then the unmatched
   // slot; sized at start(), when the route table freezes.
-  std::unique_ptr<StatusClassCounts[]> route_counts_;
-  obs::Histogram* request_duration_ = nullptr;  // null without options_.metrics
+  std::unique_ptr<StatusCounters[]> status_counters_;
 
   int listen_fd_ = -1;
   int bound_port_ = 0;
@@ -208,7 +207,6 @@ class HttpServer {
   // interrupt recv() immediately instead of waiting out io_timeout.
   std::vector<int> active_fds_;
 
-  std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> next_request_id_{1};  // generated X-Request-Id suffix
 };

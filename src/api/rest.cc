@@ -6,7 +6,6 @@
 #include <string_view>
 #include <utility>
 
-#include "api/metrics.h"
 #include "api/wire.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
@@ -46,7 +45,6 @@ bool parse_int_strict(const std::string& s, long long* out) {
 
 void bind_routes(HttpServer& server, Service& service) {
   Service* svc = &service;
-  HttpServer* srv = &server;
 
   // Readiness: "serving" only while the façade is up AND no registered
   // background thread has stalled. A stalled critical thread (batch worker,
@@ -82,8 +80,11 @@ void bind_routes(HttpServer& server, Service& service) {
     return HttpResponse::json(code, j.dump());
   });
 
-  server.route("GET", "/metrics", [svc, srv](const HttpRequest&) {
-    return HttpResponse::text(200, prometheus_text(svc->stats(), svc->metrics().get(), srv));
+  // Prometheus exposition of the stack's one metrics registry. Wire-layer
+  // families appear when the server shares that registry
+  // (HttpServerOptions::metrics), as tcm_serve wires it.
+  server.route("GET", "/metrics", [svc](const HttpRequest&) {
+    return HttpResponse::text(200, svc->metrics()->render_prometheus());
   });
 
   // Chrome trace_event JSON of the recent sampled spans; load the body into

@@ -4,7 +4,8 @@
 // body and the http_status() mapping):
 //
 //   GET  /healthz                 {"status":"serving","active_version":N}
-//   GET  /metrics                 Prometheus text exposition (metrics.h)
+//   GET  /metrics                 Prometheus text exposition of the
+//                                 façade's obs::MetricsRegistry
 //   GET  /v1/stats                StatsSnapshot
 //   GET  /v1/models               {"active","previous","models":[ModelInfo]}
 //   POST /v1/models/promote       {"version":N} -> {"active":N}

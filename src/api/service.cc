@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/http_server.h"
 #include "obs/event_log.h"
 #include "obs/process.h"
 #include "obs/trace.h"
@@ -37,7 +38,7 @@ Result<std::unique_ptr<Service>> Service::open(ServiceOptions options) {
     if (opt.registry_root.empty())
       return Status::invalid_argument("ServiceOptions.registry_root must be set");
 
-    svc->registry_ = std::make_unique<registry::ModelRegistry>(opt.registry_root);
+    svc->registry_ = std::make_shared<registry::ModelRegistry>(opt.registry_root);
     const int active = svc->registry_->active_version();
     if (active == 0)
       return Status::failed_precondition("registry at '" + opt.registry_root +
@@ -58,11 +59,11 @@ Result<std::unique_ptr<Service>> Service::open(ServiceOptions options) {
       return Status::failed_precondition("ACTIVE checkpoint v" + std::to_string(active) +
                                          " failed to load: " + e.what());
     }
-    // One registry for the whole stack: the PredictionService registers its
-    // histograms here and rest.cc's /metrics renders it alongside the
-    // counter snapshot. Likewise one watchdog: every background thread of
-    // the stack (and of the HTTP layer, which receives it via tcm_serve)
-    // heartbeats into the same /healthz verdict.
+    // One metrics registry for the whole stack: every subsystem keeps its
+    // counters, gauges and histograms here and /metrics renders it in one
+    // pass. Likewise one watchdog: every background thread of the stack (and
+    // of the HTTP layer, which receives it via tcm_serve) heartbeats into
+    // the same /healthz verdict.
     svc->metrics_ = opt.serve.metrics ? opt.serve.metrics
                                       : std::make_shared<obs::MetricsRegistry>();
     svc->watchdog_ = opt.serve.watchdog ? opt.serve.watchdog
@@ -72,9 +73,18 @@ Result<std::unique_ptr<Service>> Service::open(ServiceOptions options) {
     // surface is complete from the first scrape, autopilot or not.
     obs::register_process_metrics(*svc->metrics_);
     registry::register_autopilot_metrics(*svc->metrics_);
+    declare_http_request_family(*svc->metrics_);
     svc->metrics_
         ->gauge("tcm_autopilot_enabled", "1 when the continual-learning autopilot runs")
         .set(opt.enable_autopilot ? 1.0 : 0.0);
+    svc->metrics_
+        ->gauge("tcm_feedback_enabled", "1 when the measured-feedback buffer is installed")
+        .set(opt.enable_feedback ? 1.0 : 0.0);
+    // The callback co-owns the model registry: the metrics registry may
+    // outlive the façade.
+    svc->metrics_->gauge_callback(
+        "tcm_model_previous_version", "Rollback target version (0 when none)", "",
+        [models = svc->registry_] { return static_cast<double>(models->previous_version()); });
     serve::ServeOptions serve_opt = opt.serve;
     serve_opt.metrics = svc->metrics_;
     serve_opt.watchdog = svc->watchdog_;
@@ -82,15 +92,9 @@ Result<std::unique_ptr<Service>> Service::open(ServiceOptions options) {
         std::make_unique<serve::PredictionService>(std::move(predictor), active, serve_opt);
 
     if (opt.enable_feedback) {
-      svc->feedback_ = std::make_shared<serve::FeedbackBuffer>(opt.feedback);
+      svc->feedback_ = std::make_shared<serve::FeedbackBuffer>(opt.feedback, svc->metrics_);
       if (opt.persist_feedback) svc->restore_feedback();
       svc->service_->set_feedback(svc->feedback_);
-      // The callback owns a shared_ptr copy, so the gauge stays safe to
-      // sample even if the facade is torn down before the registry.
-      std::shared_ptr<serve::FeedbackBuffer> buffer = svc->feedback_;
-      svc->metrics_->gauge_callback(
-          "tcm_feedback_buffered", "Samples currently in the reservoir", "",
-          [buffer] { return static_cast<double>(buffer->size()); });
     }
 
     if (opt.enable_search) {

@@ -176,8 +176,9 @@ class Service {
 
   int active_version() const;
 
-  // The metrics registry shared by the whole stack (serving histograms plus
-  // whatever the HTTP layer registers); /metrics renders it in one pass.
+  // The metrics registry shared by the whole stack (serving, feedback,
+  // search, autopilot, process, plus whatever the HTTP layer registers);
+  // /metrics renders it in one pass.
   const std::shared_ptr<obs::MetricsRegistry>& metrics() const { return metrics_; }
 
   // The watchdog every background thread of the stack registers with (batch
@@ -205,7 +206,8 @@ class Service {
   ServiceOptions options_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   std::shared_ptr<obs::Watchdog> watchdog_;
-  std::unique_ptr<registry::ModelRegistry> registry_;
+  // Shared with the tcm_model_previous_version callback gauge.
+  std::shared_ptr<registry::ModelRegistry> registry_;
   std::shared_ptr<serve::FeedbackBuffer> feedback_;
   std::unique_ptr<serve::PredictionService> service_;
   std::unique_ptr<jobs::SearchJobManager> search_jobs_;  // null when disabled

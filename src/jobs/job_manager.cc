@@ -116,6 +116,10 @@ std::string SearchJobManager::submit(SearchJobRequest request) {
     std::snprintf(buf, sizeof(buf), "sj-%06llu",
                   static_cast<unsigned long long>(next_id_++));
     job->info.id = buf;
+    // Record the submit snapshot (QUEUED, or DONE on a reuse) before the job
+    // becomes visible: once it is queued a worker may record RUNNING, and the
+    // event stream must start with the submit line. Lock order mu_ -> job.mu.
+    emit_event(*job);
     jobs_.emplace(job->info.id, job);
     order_.push_back(job->info.id);
     prune_finished_locked();
@@ -140,7 +144,6 @@ std::string SearchJobManager::submit(SearchJobRequest request) {
                                        method_name(job->info.method) +
                                        " fp=" + std::to_string(fp));
   }
-  emit_event(*job);
   return job->info.id;
 }
 

@@ -38,6 +38,7 @@ const std::string* MetricsRegistry::entry_name(const Entry& e) const {
     case Kind::kCounter: return &counters_[e.index].name();
     case Kind::kGauge: return &gauges_[e.index].name();
     case Kind::kCallbackGauge: return &callback_gauges_[e.index].name;
+    case Kind::kCounterFamily: return &counter_families_[e.index].name;
   }
   return nullptr;
 }
@@ -47,7 +48,7 @@ void MetricsRegistry::check_kind(const std::string& name, Kind kind) const {
   // may coexist in one family; any other cross-kind reuse is a bug.
   const auto type_of = [](Kind k) {
     if (k == Kind::kHistogram) return 0;
-    if (k == Kind::kCounter) return 1;
+    if (k == Kind::kCounter || k == Kind::kCounterFamily) return 1;
     return 2;
   };
   for (const Entry& e : order_) {
@@ -105,12 +106,21 @@ void MetricsRegistry::gauge_callback(const std::string& name, const std::string&
   order_.push_back({Kind::kCallbackGauge, callback_gauges_.size() - 1});
 }
 
-std::string MetricsRegistry::render_prometheus(std::set<std::string>* emitted_families) const {
+void MetricsRegistry::counter_family(const std::string& name, const std::string& help) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const Entry& e : order_)
+    if (*entry_name(e) == name && (e.kind == Kind::kCounter || e.kind == Kind::kCounterFamily))
+      return;  // already declared, or a label set already carries it
+  check_kind(name, Kind::kCounterFamily);
+  counter_families_.push_back({name, help});
+  order_.push_back({Kind::kCounterFamily, counter_families_.size() - 1});
+}
+
+std::string MetricsRegistry::render_prometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   // Families in first-registration order; members of one family rendered
-  // together under a single HELP/TYPE preamble (skipped entirely when the
-  // caller already emitted this family elsewhere on the response).
+  // together under a single HELP/TYPE preamble.
   std::vector<const std::string*> family_order;
   for (const Entry& e : order_) {
     const std::string* name = entry_name(e);
@@ -120,8 +130,7 @@ std::string MetricsRegistry::render_prometheus(std::set<std::string>* emitted_fa
     if (!seen) family_order.push_back(name);
   }
   for (const std::string* family : family_order) {
-    bool preamble = emitted_families != nullptr && emitted_families->count(*family) > 0;
-    if (emitted_families != nullptr) emitted_families->insert(*family);
+    bool preamble = false;
     for (const Entry& e : order_) {
       if (*entry_name(e) != *family) continue;
       const auto preamble_for = [&](const std::string& help, const char* type) {
@@ -179,6 +188,9 @@ std::string MetricsRegistry::render_prometheus(std::set<std::string>* emitted_fa
           out += '\n';
           break;
         }
+        case Kind::kCounterFamily:
+          preamble_for(counter_families_[e.index].help, "counter");
+          break;
       }
     }
   }

@@ -1,25 +1,25 @@
 // Counter/gauge metrics and the unified MetricsRegistry.
 //
-// PR 6 introduced the registry holding only histograms; every other family
-// on /metrics was hand-rendered from a StatsSnapshot in api/metrics.cc, so
-// drift signals, cycle outcomes and cache ratios could not be owned by the
-// subsystems that produce them. This layer completes the instrument set:
+// The registry is the one store of every metric on /metrics: serving,
+// feedback, HTTP, search, drift/autopilot and process families are all
+// instruments the producing subsystem updates in place, and the exposition
+// is a single render_prometheus() call. The instrument set:
 //
-//   - Counter: monotone uint64, wait-free inc()/add() (one relaxed atomic
-//     fetch_add), for event totals (autopilot cycles, drift triggers).
+//   - Counter: monotone uint64, wait-free inc() (one relaxed atomic
+//     fetch_add), for event totals (requests, batches, autopilot cycles).
 //   - Gauge: settable double, wait-free set()/add(), for point-in-time
 //     values (queue depth, cache hit ratio, drift signal levels).
-//   - Callback gauges: sampled at render time, for values that live outside
-//     any subsystem object (process RSS/fds/uptime from /proc).
+//   - Callback gauges: sampled at render time, for values derived from state
+//     that is not a counter (process RSS/fds/uptime from /proc, the shadow
+//     disagreement window). A callback co-owns what it reads: the registry
+//     may outlive any subsystem that registered into it.
 //
 // MetricsRegistry hands out all three plus histograms, keyed (name, labels)
 // get-or-create with stable references, and renders one Prometheus 0.0.4
 // text block: families in first-registration order, exactly one HELP/TYPE
-// preamble per family regardless of how many label sets it has. Callers
-// that hand-render additional families on the same response pass a shared
-// `emitted_families` set so no family ever gets a second TYPE line.
+// preamble per family regardless of how many label sets it has.
 //
-// Registration takes a mutex (once, at construction time); updates never do.
+// Registration takes a mutex (once per instrument); updates never do.
 #pragma once
 
 #include <atomic>
@@ -27,7 +27,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -43,8 +42,11 @@ class Counter {
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  // Wait-free.
-  void inc(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  // Wait-free. Returns the value before the increment, so a counter can
+  // double as a ticket dispenser (batch index, sampling ticket).
+  std::uint64_t inc(std::uint64_t n = 1) {
+    return value_.fetch_add(n, std::memory_order_relaxed);
+  }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
   const std::string& name() const { return name_; }
@@ -100,22 +102,29 @@ class MetricsRegistry {
                    const std::string& labels = "");
   Gauge& gauge(const std::string& name, const std::string& help, const std::string& labels = "");
 
-  // A gauge whose value is pulled from `fn` at render time; for
-  // process-global sources (/proc) where no object owns the number. The
-  // callback must stay valid for the registry's lifetime and be callable
-  // from any thread.
+  // A gauge whose value is pulled from `fn` at render time; for sources no
+  // counter or gauge can hold (/proc, a derived statistic). The callback
+  // must stay valid for the registry's lifetime — capture shared ownership
+  // of the state it reads, never a raw owner pointer — and be callable from
+  // any thread.
   void gauge_callback(const std::string& name, const std::string& help,
                       const std::string& labels, std::function<double()> fn);
 
+  // Declares a labelled counter family before its first label set exists,
+  // so the family renders (HELP/TYPE, no samples) from the first scrape.
+  // Samples appear as counter(name, ..., labels) creates them.
+  void counter_family(const std::string& name, const std::string& help);
+
   // Prometheus 0.0.4 text: families in first-registration order, HELP/TYPE
   // once per family, then one sample line (or bucket block) per label set.
-  // When `emitted_families` is non-null, families already in the set get
-  // samples but no HELP/TYPE preamble, and every family rendered here is
-  // added to it — the dedupe contract with hand-rendered expositions.
-  std::string render_prometheus(std::set<std::string>* emitted_families = nullptr) const;
+  std::string render_prometheus() const;
 
  private:
-  enum class Kind { kHistogram, kCounter, kGauge, kCallbackGauge };
+  enum class Kind { kHistogram, kCounter, kGauge, kCallbackGauge, kCounterFamily };
+  struct CounterFamily {
+    std::string name;
+    std::string help;
+  };
   struct CallbackGauge {
     std::string name;
     std::string help;
@@ -137,6 +146,7 @@ class MetricsRegistry {
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<CallbackGauge> callback_gauges_;
+  std::deque<CounterFamily> counter_families_;
   std::vector<Entry> order_;
 };
 

@@ -9,10 +9,8 @@
 //   - ModelEvaluator: runs candidates through a serve::PredictionService,
 //     which featurizes them (with caching), groups them by tree structure
 //     and batches them through a trained SpeedupPredictor on a worker pool —
-//     by default via the tape-free infer_batch fast path with per-worker
-//     inference arenas (see nn/inference.h); pass ServeOptions with
-//     use_fused_inference=false to fall back to the autograd forward.
-//     Accounted cost: measured inference wall time.
+//     via the tape-free infer_batch path with per-worker inference arenas
+//     (see nn/inference.h). Accounted cost: measured inference wall time.
 // The accounted costs feed Table 2 (search time improvement).
 #pragma once
 

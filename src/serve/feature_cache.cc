@@ -2,16 +2,20 @@
 
 namespace tcm::serve {
 
-FeatureCache::FeatureCache(std::size_t capacity) : capacity_(capacity) {}
+FeatureCache::FeatureCache(std::size_t capacity, std::shared_ptr<obs::MetricsRegistry> metrics)
+    : capacity_(capacity),
+      metrics_(metrics ? std::move(metrics) : std::make_shared<obs::MetricsRegistry>()),
+      hits_(&metrics_->counter("tcm_serve_cache_hits_total", "Feature cache hits")),
+      misses_(&metrics_->counter("tcm_serve_cache_misses_total", "Feature cache misses")) {}
 
 std::shared_ptr<const model::FeaturizedProgram> FeatureCache::get(const PairKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    ++misses_;
+    misses_->inc();
     return nullptr;
   }
-  ++hits_;
+  hits_->inc();
   lru_.splice(lru_.begin(), lru_, it->second);  // move to front
   return it->second->feats;
 }
@@ -39,15 +43,9 @@ std::size_t FeatureCache::size() const {
   return lru_.size();
 }
 
-std::uint64_t FeatureCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
+std::uint64_t FeatureCache::hits() const { return hits_->value(); }
 
-std::uint64_t FeatureCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
+std::uint64_t FeatureCache::misses() const { return misses_->value(); }
 
 void FeatureCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);

@@ -5,7 +5,8 @@
 // search revisits schedules across beam levels and MCTS rollouts, and a
 // serving deployment sees the same (program, schedule) pairs from many
 // clients. Entries are shared_ptr-to-const so a hit can be handed to the
-// batcher while an eviction races with it.
+// batcher while an eviction races with it. Hits and misses are counted in
+// the tcm_serve_cache_{hits,misses}_total instruments of a metrics registry.
 #pragma once
 
 #include <cstdint>
@@ -15,14 +16,17 @@
 #include <unordered_map>
 
 #include "model/featurize.h"
+#include "obs/metrics.h"
 #include "serve/fingerprint.h"
 
 namespace tcm::serve {
 
 class FeatureCache {
  public:
-  // `capacity` = max resident entries; 0 disables caching entirely.
-  explicit FeatureCache(std::size_t capacity);
+  // `capacity` = max resident entries; 0 disables caching entirely. The
+  // hit/miss counters live in `metrics` (a private registry when null).
+  explicit FeatureCache(std::size_t capacity,
+                        std::shared_ptr<obs::MetricsRegistry> metrics = nullptr);
 
   // Returns the cached featurization or nullptr on miss.
   std::shared_ptr<const model::FeaturizedProgram> get(const PairKey& key);
@@ -49,8 +53,9 @@ class FeatureCache {
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<PairKey, std::list<Entry>::iterator, PairKeyHash> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  std::shared_ptr<obs::MetricsRegistry> metrics_;  // pins the counters below
+  obs::Counter* hits_;
+  obs::Counter* misses_;
 };
 
 }  // namespace tcm::serve

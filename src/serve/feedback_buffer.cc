@@ -17,27 +17,36 @@ std::uint64_t mix(std::uint64_t x) {
 
 }  // namespace
 
-FeedbackBuffer::FeedbackBuffer(FeedbackBufferOptions options)
-    : options_(options), rng_(options.seed) {
+FeedbackBuffer::FeedbackBuffer(FeedbackBufferOptions options,
+                               std::shared_ptr<obs::MetricsRegistry> metrics)
+    : options_(options),
+      metrics_(metrics ? std::move(metrics) : std::make_shared<obs::MetricsRegistry>()),
+      offered_(&metrics_->counter("tcm_feedback_offered_total",
+                                  "Raw submissions offered to the buffer")),
+      sampled_(&metrics_->counter("tcm_feedback_sampled_total",
+                                  "Offers that passed the Bernoulli draw")),
+      buffered_(&metrics_->gauge("tcm_feedback_buffered", "Samples currently in the reservoir")),
+      rng_(options.seed) {
   reservoir_.reserve(options_.capacity);
 }
 
 void FeedbackBuffer::offer(const ir::Program& program, const transforms::Schedule& schedule) {
   // Fast path: rejected offers touch one atomic and a hash — no lock, no
   // copy. This sits on every client's submit path.
-  const std::uint64_t ticket = offered_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t ticket = offered_->inc();
   if (options_.capacity == 0) return;
   const std::uint64_t h = mix(ticket + 0x9e3779b97f4a7c15ULL * (options_.seed | 1));
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   if (u >= options_.sample_fraction) return;
 
   std::lock_guard<std::mutex> lock(mu_);
-  ++sampled_;
+  sampled_->inc();
   ++stream_count_;
   // Algorithm R over the sampled stream: each sampled offer ends up in the
   // reservoir with probability capacity / stream_count.
   if (reservoir_.size() < options_.capacity) {
     reservoir_.push_back({program, schedule});
+    buffered_->set(static_cast<double>(reservoir_.size()));
     return;
   }
   const std::uint64_t slot = static_cast<std::uint64_t>(
@@ -52,6 +61,7 @@ std::vector<ServedSample> FeedbackBuffer::drain() {
   out.swap(reservoir_);
   reservoir_.reserve(options_.capacity);
   stream_count_ = 0;
+  buffered_->set(0);
   return out;
 }
 
@@ -68,10 +78,11 @@ void FeedbackBuffer::restore(std::vector<ServedSample> samples) {
     // Count the restored sample as one offered-and-sampled request so the
     // counters stay consistent (sampled <= offered always holds) and later
     // reservoir replacement stays approximately uniform.
-    offered_.fetch_add(1, std::memory_order_relaxed);
-    ++sampled_;
+    offered_->inc();
+    sampled_->inc();
     ++stream_count_;
   }
+  buffered_->set(static_cast<double>(reservoir_.size()));
 }
 
 std::size_t FeedbackBuffer::size() const {
@@ -79,13 +90,8 @@ std::size_t FeedbackBuffer::size() const {
   return reservoir_.size();
 }
 
-std::uint64_t FeedbackBuffer::offered() const {
-  return offered_.load(std::memory_order_relaxed);
-}
+std::uint64_t FeedbackBuffer::offered() const { return offered_->value(); }
 
-std::uint64_t FeedbackBuffer::sampled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sampled_;
-}
+std::uint64_t FeedbackBuffer::sampled() const { return sampled_->value(); }
 
 }  // namespace tcm::serve

@@ -12,15 +12,18 @@
 // survivors into a bounded buffer: drain() therefore hands back a uniform
 // sample of the sampled stream since the last drain, no matter how much
 // traffic flowed. Thread-safe; the accept decision is deterministic in
-// (seed, ticket index).
+// (seed, ticket index). The buffer's instruments live in a metrics
+// registry: tcm_feedback_{offered,sampled}_total and the
+// tcm_feedback_buffered reservoir-size gauge.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "ir/program.h"
+#include "obs/metrics.h"
 #include "support/rng.h"
 #include "transforms/schedule.h"
 
@@ -39,7 +42,10 @@ struct FeedbackBufferOptions {
 
 class FeedbackBuffer {
  public:
-  explicit FeedbackBuffer(FeedbackBufferOptions options = {});
+  // The instruments live in `metrics` (a private registry when null);
+  // buffers sharing a registry share them, ticket sequence included.
+  explicit FeedbackBuffer(FeedbackBufferOptions options = {},
+                          std::shared_ptr<obs::MetricsRegistry> metrics = nullptr);
 
   // Called by the service for every raw-pair request. Cheap when the
   // Bernoulli draw rejects; otherwise copies the pair into the reservoir.
@@ -68,11 +74,13 @@ class FeedbackBuffer {
 
  private:
   const FeedbackBufferOptions options_;
-  std::atomic<std::uint64_t> offered_{0};  // also the lock-free ticket counter
+  std::shared_ptr<obs::MetricsRegistry> metrics_;  // pins the counters below
+  obs::Counter* offered_;  // also the lock-free ticket counter
+  obs::Counter* sampled_;  // incremented under mu_
+  obs::Gauge* buffered_;   // reservoir size, set under mu_
   mutable std::mutex mu_;
   Rng rng_;
   std::vector<ServedSample> reservoir_;
-  std::uint64_t sampled_ = 0;        // total since construction
   std::uint64_t stream_count_ = 0;   // sampled offers since the last drain()
 };
 

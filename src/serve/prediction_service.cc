@@ -28,6 +28,10 @@ std::shared_ptr<model::SpeedupPredictor> non_owning(model::SpeedupPredictor& pre
   return std::shared_ptr<model::SpeedupPredictor>(std::shared_ptr<void>(), &predictor);
 }
 
+double mean_occupancy(std::uint64_t requests, std::uint64_t batches) {
+  return batches > 0 ? static_cast<double>(requests) / static_cast<double>(batches) : 0.0;
+}
+
 std::future<Prediction> failed_future(std::exception_ptr error) {
   std::promise<Prediction> failed;
   failed.set_exception(std::move(error));
@@ -36,16 +40,67 @@ std::future<Prediction> failed_future(std::exception_ptr error) {
 
 }  // namespace
 
+double PredictionService::ShadowWindow::mape_locked(std::uint64_t requests_total) const {
+  const std::uint64_t n = requests_total - requests_base;
+  return n > 0 ? ape_sum / static_cast<double>(n) : 0.0;
+}
+
+double PredictionService::ShadowWindow::spearman() {
+  std::vector<double> inc, sh;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    inc.reserve(pairs.size());
+    sh.reserve(pairs.size());
+    for (const auto& [i, v] : pairs) {
+      inc.push_back(i);
+      sh.push_back(v);
+    }
+  }
+  return inc.size() >= 2 ? tcm::spearman(inc, sh) : 0.0;
+}
+
 PredictionService::PredictionService(std::shared_ptr<model::SpeedupPredictor> predictor,
                                      int version, ServeOptions options)
     : options_(options),
-      cache_(options.cache_capacity),
+      metrics_(options.metrics ? options.metrics : std::make_shared<obs::MetricsRegistry>()),
+      cache_(options.cache_capacity, metrics_),
       batcher_(options.max_batch, options.max_queue_latency) {
   if (!predictor) throw std::invalid_argument("PredictionService: null predictor");
   if (options.num_threads < 1)
     throw std::invalid_argument("PredictionService: need at least one worker thread");
   model_ = std::make_shared<const ModelSnapshot>(ModelSnapshot{std::move(predictor), version});
-  metrics_ = options.metrics ? options.metrics : std::make_shared<obs::MetricsRegistry>();
+  obs::MetricsRegistry& m = *metrics_;
+  requests_ = &m.counter("tcm_serve_requests_total", "Completed predictions");
+  failed_requests_ = &m.counter("tcm_serve_failed_requests_total",
+                                "Requests that failed featurization or the forward pass");
+  batches_ = &m.counter("tcm_serve_batches_total", "Incumbent inference batches");
+  // The callbacks below read only instruments and state the registry itself
+  // owns or co-owns, never `this`: the registry may outlive the service.
+  m.gauge_callback("tcm_serve_batch_occupancy", "Mean requests per batch", "",
+                   [&requests = *requests_, &batches = *batches_] {
+                     return mean_occupancy(requests.value(), batches.value());
+                   });
+  arena_heap_allocs_ =
+      &m.counter("tcm_serve_arena_heap_allocs_total",
+                 "Heap allocations by worker inference arenas (plateaus when warm)");
+  active_version_ =
+      &m.gauge("tcm_model_active_version", "Registry version currently receiving traffic");
+  active_version_->set(version);
+  model_swaps_ = &m.counter("tcm_model_swaps_total", "Completed zero-downtime hot swaps");
+  shadow_version_ =
+      &m.gauge("tcm_shadow_version", "Shadow candidate version (0 when none installed)");
+  shadow_requests_ =
+      &m.counter("tcm_shadow_requests_total", "Requests also scored by a shadow model");
+  shadow_failures_ = &m.counter("tcm_shadow_failures_total",
+                                "Shadow forward errors (never client-visible)");
+  m.gauge_callback("tcm_shadow_mape", "Shadow disagreement MAPE vs the incumbent", "",
+                   [window = shadow_window_, &requests = *shadow_requests_] {
+                     std::lock_guard<std::mutex> lock(window->mu);
+                     return window->mape_locked(requests.value());
+                   });
+  m.gauge_callback("tcm_shadow_spearman",
+                   "Shadow rank correlation vs the incumbent over the shared window", "",
+                   [window = shadow_window_] { return window->spearman(); });
   // 1us..~16s log-spaced: covers cache-hit submits through pathological
   // stalls at ~2x resolution per decade step.
   const std::vector<double> latency_buckets = obs::exponential_buckets(1e-6, 2.0, 25);
@@ -97,12 +152,12 @@ void PredictionService::swap_model(std::shared_ptr<model::SpeedupPredictor> next
     std::lock_guard<std::mutex> lock(model_mu_);
     previous = model_->version;
     model_ = std::move(snapshot);  // old snapshot lives on in in-flight batches
+    active_version_->set(version);
   }
+  model_swaps_->inc();
   obs::EventLog::instance().emit(
       "hot_swap", "info", "from=v" + std::to_string(previous) + " to=v" + std::to_string(version),
       obs::current_trace_id());
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++model_swaps_;
 }
 
 int PredictionService::active_version() const {
@@ -118,18 +173,21 @@ void PredictionService::set_shadow(std::shared_ptr<model::SpeedupPredictor> cand
   {
     std::lock_guard<std::mutex> lock(model_mu_);
     shadow_ = std::move(state);
+    shadow_version_->set(version);
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  shadow_requests_ = 0;
-  shadow_failures_ = 0;
-  shadow_ape_sum_ = 0;
-  shadow_pairs_.clear();
-  shadow_pair_next_ = 0;
+  ShadowWindow& window = *shadow_window_;
+  std::lock_guard<std::mutex> lock(window.mu);
+  window.requests_base = shadow_requests_->value();
+  window.failures_base = shadow_failures_->value();
+  window.ape_sum = 0;
+  window.pairs.clear();
+  window.next = 0;
 }
 
 void PredictionService::clear_shadow() {
   std::lock_guard<std::mutex> lock(model_mu_);
   shadow_ = nullptr;
+  shadow_version_->set(0);
 }
 
 void PredictionService::set_feedback(std::shared_ptr<FeedbackBuffer> feedback) {
@@ -139,12 +197,12 @@ void PredictionService::set_feedback(std::shared_ptr<FeedbackBuffer> feedback) {
 }
 
 std::vector<double> PredictionService::recent_predictions() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(recent_mu_);
   return recent_preds_;
 }
 
 void PredictionService::clear_recent_predictions() {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(recent_mu_);
   recent_preds_.clear();
   recent_pred_next_ = 0;
 }
@@ -216,12 +274,9 @@ std::future<Prediction> PredictionService::submit_with_key(const PairKey& key,
       obs::Tracer::instance().record("serve.featurize", trace_id, to_trace_ns(featurize_start),
                                      obs::Tracer::now_ns());
     if (!fresh) {
-      std::promise<Prediction> failed;
-      failed.set_exception(std::make_exception_ptr(
+      failed_requests_->inc();
+      return failed_future(std::make_exception_ptr(
           std::invalid_argument("PredictionService: cannot featurize candidate: " + error)));
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++failed_requests_;
-      return failed.get_future();
     }
     feats = cache_.put(key, std::make_shared<const model::FeaturizedProgram>(std::move(*fresh)));
   } else if (const std::uint64_t trace_id = obs::current_trace_id(); trace_id != 0) {
@@ -305,28 +360,23 @@ void PredictionService::worker_loop(int worker_index) {
 }
 
 void PredictionService::score_batch(model::SpeedupPredictor& predictor,
-                                    const model::Batch& model_batch, std::uint64_t batch_index,
-                                    WorkerState& ws) {
+                                    const model::Batch& model_batch, WorkerState& ws,
+                                    std::vector<double>& out) {
+  // Tape-free: no autograd graph, scratch from the worker-local arena (zero
+  // heap allocation once warm). infer_batch resets the arena.
   const int b = model_batch.batch_size();
-  ws.preds.clear();
-  if (options_.use_fused_inference) {
-    // Tape-free fast path: no autograd graph, scratch from the worker-local
-    // arena (zero heap allocation once warm). infer_batch resets the arena.
-    const nn::Tensor& pred = predictor.infer_batch(model_batch, ws.arena);
-    if (pred.rows() != b)
-      throw std::logic_error("PredictionService: predictor returned wrong batch size");
-    for (int row = 0; row < b; ++row)
-      ws.preds.push_back(static_cast<double>(pred.at(row, 0)));
-  } else {
-    // Per-call Rng: inference (training=false) draws nothing from it, but the
-    // API requires one and sharing a stream across workers would race.
-    Rng rng = Rng(options_.seed).split(batch_index);
-    const nn::Variable pred = predictor.forward_batch(model_batch, /*training=*/false, rng);
-    if (pred.rows() != b)
-      throw std::logic_error("PredictionService: predictor returned wrong batch size");
-    for (int row = 0; row < b; ++row)
-      ws.preds.push_back(static_cast<double>(pred.value().at(row, 0)));
-  }
+  const nn::Tensor& pred = predictor.infer_batch(model_batch, ws.arena);
+  if (pred.rows() != b)
+    throw std::logic_error("PredictionService: predictor returned wrong batch size");
+  out.clear();
+  for (int row = 0; row < b; ++row) out.push_back(static_cast<double>(pred.at(row, 0)));
+}
+
+void PredictionService::count_arena_allocs(WorkerState& ws) {
+  const std::uint64_t total = ws.arena.heap_allocations();
+  if (total == ws.arena_allocs_counted) return;  // warm arena: no shared write
+  arena_heap_allocs_->inc(total - ws.arena_allocs_counted);
+  ws.arena_allocs_counted = total;
 }
 
 void PredictionService::refresh_degradation() {
@@ -421,11 +471,7 @@ void PredictionService::run_batch(std::vector<PendingRequest> batch, WorkerState
     }
   }
 
-  std::uint64_t batch_index;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    batch_index = batches_++;
-  }
+  const std::uint64_t batch_index = batches_->inc();
 
   // Pin the model epoch for the whole batch: a concurrent swap_model()
   // cannot free it (refcount) and cannot make this batch mix models. The
@@ -448,10 +494,11 @@ void PredictionService::run_batch(std::vector<PendingRequest> batch, WorkerState
     {
       obs::ScopedSpan span("serve.infer", batch_trace);
       const auto infer_start = std::chrono::steady_clock::now();
-      score_batch(*snapshot->predictor, model_batch, batch_index, ws);
+      score_batch(*snapshot->predictor, model_batch, ws, ws.preds);
       stage_infer_->observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - infer_start).count());
     }
+    count_arena_allocs(ws);
     // Account before fulfilling the promises: a client that sees its future
     // ready must also see the request counted in stats().
     const auto done = std::chrono::steady_clock::now();
@@ -461,17 +508,15 @@ void PredictionService::run_batch(std::vector<PendingRequest> batch, WorkerState
         obs::Tracer::instance().record("serve.e2e", req.trace_id, to_trace_ns(req.enqueued),
                                        to_trace_ns(done));
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      requests_ += static_cast<std::uint64_t>(b);
-      if (options_.prediction_window > 0) {
-        for (double pred : ws.preds) {
-          if (recent_preds_.size() < options_.prediction_window) {
-            recent_preds_.push_back(pred);
-          } else {
-            recent_preds_[recent_pred_next_] = pred;
-            recent_pred_next_ = (recent_pred_next_ + 1) % options_.prediction_window;
-          }
+    requests_->inc(static_cast<std::uint64_t>(b));
+    if (options_.prediction_window > 0) {
+      std::lock_guard<std::mutex> lock(recent_mu_);
+      for (double pred : ws.preds) {
+        if (recent_preds_.size() < options_.prediction_window) {
+          recent_preds_.push_back(pred);
+        } else {
+          recent_preds_[recent_pred_next_] = pred;
+          recent_pred_next_ = (recent_pred_next_ + 1) % options_.prediction_window;
         }
       }
     }
@@ -489,14 +534,12 @@ void PredictionService::run_batch(std::vector<PendingRequest> batch, WorkerState
       obs::ScopedSpan span("serve.shadow", batch_trace);
       const auto shadow_start = std::chrono::steady_clock::now();
       run_shadow(*shadow, model_batch, ws.preds, batch_index, ws);
+      count_arena_allocs(ws);
       stage_shadow_->observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - shadow_start).count());
     }
   } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      failed_requests_ += static_cast<std::uint64_t>(b);
-    }
+    failed_requests_->inc(static_cast<std::uint64_t>(b));
     const std::exception_ptr error = std::current_exception();
     for (PendingRequest& req : batch) req.result.set_exception(error);
   }
@@ -513,81 +556,56 @@ void PredictionService::run_shadow(const ShadowState& shadow, const model::Batch
   try {
     std::vector<double> shadow_preds;
     shadow_preds.reserve(static_cast<std::size_t>(b));
-    if (options_.use_fused_inference) {
-      const nn::Tensor& pred = shadow.predictor->infer_batch(model_batch, ws.arena);
-      if (pred.rows() != b)
-        throw std::logic_error("PredictionService: shadow returned wrong batch size");
-      for (int row = 0; row < b; ++row)
-        shadow_preds.push_back(static_cast<double>(pred.at(row, 0)));
-    } else {
-      Rng rng = Rng(options_.seed).split(batch_index ^ 0x517cc1b727220a95ULL);
-      const nn::Variable pred = shadow.predictor->forward_batch(model_batch, /*training=*/false,
-                                                                rng);
-      if (pred.rows() != b)
-        throw std::logic_error("PredictionService: shadow returned wrong batch size");
-      for (int row = 0; row < b; ++row)
-        shadow_preds.push_back(static_cast<double>(pred.value().at(row, 0)));
-    }
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    shadow_requests_ += static_cast<std::uint64_t>(b);
+    score_batch(*shadow.predictor, model_batch, ws, shadow_preds);
+    ShadowWindow& window = *shadow_window_;
+    std::lock_guard<std::mutex> lock(window.mu);
+    shadow_requests_->inc(static_cast<std::uint64_t>(b));
     for (int row = 0; row < b; ++row) {
       const double inc = incumbent_preds[static_cast<std::size_t>(row)];
       const double sh = shadow_preds[static_cast<std::size_t>(row)];
-      shadow_ape_sum_ += std::abs(sh - inc) / std::max(std::abs(inc), 1e-12);
-      if (shadow_pairs_.size() < options_.shadow_window) {
-        shadow_pairs_.emplace_back(inc, sh);
+      window.ape_sum += std::abs(sh - inc) / std::max(std::abs(inc), 1e-12);
+      if (window.pairs.size() < options_.shadow_window) {
+        window.pairs.emplace_back(inc, sh);
       } else {
-        shadow_pairs_[shadow_pair_next_] = {inc, sh};
-        shadow_pair_next_ = (shadow_pair_next_ + 1) % options_.shadow_window;
+        window.pairs[window.next] = {inc, sh};
+        window.next = (window.next + 1) % options_.shadow_window;
       }
     }
   } catch (...) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++shadow_failures_;
+    shadow_failures_->inc();
   }
 }
 
 ServeStats PredictionService::stats() const {
   ServeStats s;
+  s.requests = requests_->value();
+  s.batches = batches_->value();
+  s.failed_requests = failed_requests_->value();
+  s.mean_batch_occupancy = mean_occupancy(s.requests, s.batches);
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
-  for (const auto& ws : worker_states_) s.arena_heap_allocs += ws->arena.heap_allocations();
+  s.arena_heap_allocs = arena_heap_allocs_->value();
+  s.model_swaps = model_swaps_->value();
   {
     std::lock_guard<std::mutex> lock(model_mu_);
     s.active_version = model_->version;
     if (shadow_) s.shadow_version = shadow_->version;
   }
-  std::vector<std::pair<double, double>> shadow_pairs;
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    s.requests = requests_;
-    s.batches = batches_;
-    s.failed_requests = failed_requests_;
-    s.model_swaps = model_swaps_;
-    s.shadow_requests = shadow_requests_;
-    s.shadow_failures = shadow_failures_;
-    s.mean_batch_occupancy =
-        batches_ > 0 ? static_cast<double>(requests_) / static_cast<double>(batches_) : 0.0;
-    if (shadow_requests_ > 0)
-      s.shadow_mape = shadow_ape_sum_ / static_cast<double>(shadow_requests_);
-    shadow_pairs = shadow_pairs_;
+    ShadowWindow& window = *shadow_window_;
+    std::lock_guard<std::mutex> lock(window.mu);
+    const std::uint64_t shadow_total = shadow_requests_->value();
+    s.shadow_requests = shadow_total - window.requests_base;
+    s.shadow_failures = shadow_failures_->value() - window.failures_base;
+    s.shadow_mape = window.mape_locked(shadow_total);
   }
+  s.shadow_spearman = shadow_window_->spearman();
   s.shed_requests = admission_->total_shed();
   s.degradation_level = admission_->level();
   // Interpolated out of the e2e histogram buckets — no ring to snapshot and
   // sort, and /metrics exports the full distribution these come from.
   s.p50_latency = e2e_latency_->quantile(0.50);
   s.p99_latency = e2e_latency_->quantile(0.99);
-  if (shadow_pairs.size() >= 2) {
-    std::vector<double> inc, sh;
-    inc.reserve(shadow_pairs.size());
-    sh.reserve(shadow_pairs.size());
-    for (const auto& [i, v] : shadow_pairs) {
-      inc.push_back(i);
-      sh.push_back(v);
-    }
-    s.shadow_spearman = spearman(inc, sh);
-  }
   return s;
 }
 

@@ -13,11 +13,12 @@
 //                             InferenceArena, zero steady-state heap
 //                             allocation), fulfill futures
 //
-// Inference is deterministic: the tape-free fast path (and the legacy
-// autograd path behind use_fused_inference=false) applies no dropout and
-// computes each batch row independently, so a request's prediction is
-// bitwise-identical however it is batched (asserted by the serve hammer
-// test against direct infer_batch calls).
+// Inference is deterministic: the tape-free infer_batch path applies no
+// dropout and computes each batch row independently, so a request's
+// prediction is bitwise-identical however it is batched (asserted by the
+// serve hammer test against direct infer_batch calls). Predictors without a
+// fused engine inherit SpeedupPredictor's infer_batch fallback, which wraps
+// forward_batch.
 //
 // Model ownership and hot-swap: the service holds a shared_ptr to an
 // immutable predictor snapshot. A worker pins the snapshot once per batch
@@ -38,6 +39,11 @@
 // the incumbent (MAPE and Spearman rank correlation over the shared
 // requests) into ServeStats, which is what a canary evaluation reads before
 // deciding to promote.
+//
+// Metrics: every counter the service keeps (requests, batches, failures,
+// swaps, shadow traffic, cache hits, arena allocations) is an instrument in
+// its metrics registry, incremented where the event happens; stats() reads
+// the instruments back into the typed ServeStats view.
 #pragma once
 
 #include <atomic>
@@ -66,18 +72,12 @@ inline constexpr RequestDeadline kNoDeadline = RequestDeadline::max();
 
 struct ServeOptions {
   int num_threads = 1;   // inference worker threads
-  int max_batch = 64;    // max requests fused into one forward_batch call
+  int max_batch = 64;    // max requests fused into one inference batch
   // How long a partial batch may wait for company before it is flushed.
   std::chrono::microseconds max_queue_latency{2000};
   std::size_t cache_capacity = 4096;  // feature-cache entries; 0 disables
   model::FeatureConfig features;      // featurization of raw pairs
-  std::uint64_t seed = 0;             // per-batch Rng seed (inference draws nothing)
-  // Score batches through the tape-free SpeedupPredictor::infer_batch fast
-  // path with one InferenceArena per worker (zero steady-state heap
-  // allocation). Off = the legacy autograd forward_batch path; kept for A/B
-  // measurement in bench_serve_throughput and as a hedge for predictors
-  // whose fused path is unavailable.
-  bool use_fused_inference = true;
+  std::uint64_t seed = 0;             // shadow-sampling Rng seed
   // Shadow disagreement window: recent (incumbent, shadow) prediction pairs
   // kept for the Spearman statistic.
   std::size_t shadow_window = 1 << 12;
@@ -85,9 +85,10 @@ struct ServeOptions {
   // (recent_predictions(); the DriftMonitor compares this window against a
   // frozen reference). 0 disables the ring.
   std::size_t prediction_window = 1 << 12;
-  // Metrics registry the service registers its latency/batch histograms in.
+  // Metrics registry holding the service's counters, gauges and histograms.
   // Share one across the stack so /metrics renders everything in one pass;
   // when null the service creates a private registry (stats() still works).
+  // Services sharing a registry share its counters.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   // Watchdog the batch workers register heartbeats with (critical threads:
   // a wedged worker flips /healthz to 503). Null = no liveness tracking.
@@ -108,17 +109,17 @@ struct ServeOptions {
   AdmissionOptions admission;
 };
 
-// Counter snapshot; all values are totals since construction.
+// Typed read view of the service's registry instruments; counters are
+// totals since construction unless noted.
 struct ServeStats {
   std::uint64_t requests = 0;        // completed predictions
-  std::uint64_t batches = 0;         // forward_batch calls (incumbent only)
+  std::uint64_t batches = 0;         // infer_batch calls (incumbent only)
   std::uint64_t failed_requests = 0; // featurization/forward errors
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   double mean_batch_occupancy = 0;   // requests / batches
-  // Heap allocations performed by the workers' inference arenas (fused path
-  // only). Plateaus once the arenas are warm: steady-state inference
-  // allocates nothing.
+  // Heap allocations performed by the workers' inference arenas. Plateaus
+  // once the arenas are warm: steady-state inference allocates nothing.
   std::uint64_t arena_heap_allocs = 0;
   // Queue+inference latency summary, interpolated out of the
   // tcm_serve_latency_seconds histogram buckets (approximate, bounded by
@@ -130,6 +131,8 @@ struct ServeStats {
   int active_version = 0;            // version currently receiving traffic
   std::uint64_t model_swaps = 0;     // completed swap_model() calls
   int shadow_version = 0;            // 0 when no shadow is installed
+  // Shadow counts since the last set_shadow() (the registry counters behind
+  // them stay monotone).
   std::uint64_t shadow_requests = 0; // requests also scored by a shadow model
   std::uint64_t shadow_failures = 0; // shadow forward errors (never client-visible)
   double shadow_mape = 0;            // mean |shadow - incumbent| / incumbent
@@ -246,11 +249,30 @@ class PredictionService {
     int version = 0;
     double sample_fraction = 1.0;
   };
-  // Per-worker scratch, touched only by its owning worker thread (the arena's
-  // allocation counter is atomic so stats() may read it concurrently).
+  // Per-worker scratch, touched only by its owning worker thread.
   struct WorkerState {
     nn::InferenceArena arena;
     std::vector<double> preds;         // incumbent predictions of the batch
+    std::uint64_t arena_allocs_counted = 0;  // arena allocations already counted
+  };
+  // Shadow disagreement window since the last set_shadow(): data, not
+  // counters, so it stays under its own mutex. Co-owned by the
+  // tcm_shadow_mape/spearman callback gauges, which may outlive the service.
+  struct ShadowWindow {
+    std::mutex mu;
+    // Shadow counter values at set_shadow(); ServeStats reports the deltas.
+    std::uint64_t requests_base = 0;
+    std::uint64_t failures_base = 0;
+    double ape_sum = 0;
+    // Ring of recent (incumbent, shadow) pairs for the Spearman statistic.
+    std::vector<std::pair<double, double>> pairs;
+    std::size_t next = 0;
+
+    // Mean APE over the window; call with mu held. `requests_total` is the
+    // tcm_shadow_requests_total value.
+    double mape_locked(std::uint64_t requests_total) const;
+    // Rank correlation over a copy of the pair ring (ranked outside mu).
+    double spearman();
   };
 
   std::future<Prediction> submit_with_key(const PairKey& key, const ir::Program& program,
@@ -268,15 +290,21 @@ class PredictionService {
   void refresh_degradation();
   void worker_loop(int worker_index);
   void run_batch(std::vector<PendingRequest> batch, WorkerState& ws);
-  // Fills ws.preds with one prediction per batch row using the configured
-  // path (fused arena walk or autograd fallback).
+  // Scores one batch through `predictor` with the worker's arena into
+  // `out` (one prediction per row).
   void score_batch(model::SpeedupPredictor& predictor, const model::Batch& model_batch,
-                   std::uint64_t batch_index, WorkerState& ws);
+                   WorkerState& ws, std::vector<double>& out);
   void run_shadow(const ShadowState& shadow, const model::Batch& model_batch,
                   const std::vector<double>& incumbent_preds, std::uint64_t batch_index,
                   WorkerState& ws);
+  // Adds the worker arena's heap allocations since the last call to the
+  // tcm_serve_arena_heap_allocs_total counter.
+  void count_arena_allocs(WorkerState& ws);
 
   const ServeOptions options_;
+  // Declared before the members whose instruments it holds. References
+  // handed out by the registry are stable for its lifetime, which this pins.
+  std::shared_ptr<obs::MetricsRegistry> metrics_;
   // Epoch-swapped model state: workers pin a snapshot once per batch and
   // hold it (refcounted) until the batch completes. model_mu_ guards only
   // these two pointers, never the forward pass.
@@ -289,7 +317,7 @@ class PredictionService {
   std::atomic<bool> has_feedback_{false};
   mutable std::mutex feedback_mu_;
   std::shared_ptr<FeedbackBuffer> feedback_;  // null = disabled
-  FeatureCache cache_;
+  FeatureCache cache_;  // counts hits/misses in metrics_
   StructureBatcher batcher_;
   // Admission control + degradation ladder (always constructed; inert when
   // admission_queue_cap == 0). Owns the shed/degradation instruments.
@@ -298,10 +326,16 @@ class PredictionService {
   // workers race benignly to apply transitions.
   std::atomic<int> applied_level_{0};
 
-  // Latency/batch-size histograms, registered at construction; observe() is
-  // wait-free so these sit outside stats_mu_. References are stable for the
-  // registry's lifetime, which metrics_ pins.
-  std::shared_ptr<obs::MetricsRegistry> metrics_;
+  // Instruments, registered at construction; every update is wait-free.
+  obs::Counter* requests_ = nullptr;           // tcm_serve_requests_total
+  obs::Counter* batches_ = nullptr;            // tcm_serve_batches_total (batch index)
+  obs::Counter* failed_requests_ = nullptr;    // tcm_serve_failed_requests_total
+  obs::Counter* arena_heap_allocs_ = nullptr;  // tcm_serve_arena_heap_allocs_total
+  obs::Counter* model_swaps_ = nullptr;        // tcm_model_swaps_total
+  obs::Counter* shadow_requests_ = nullptr;    // tcm_shadow_requests_total
+  obs::Counter* shadow_failures_ = nullptr;    // tcm_shadow_failures_total
+  obs::Gauge* active_version_ = nullptr;       // tcm_model_active_version
+  obs::Gauge* shadow_version_ = nullptr;       // tcm_shadow_version
   obs::Histogram* e2e_latency_ = nullptr;      // tcm_serve_latency_seconds
   obs::Histogram* stage_queue_wait_ = nullptr; // tcm_stage_duration_seconds{stage=...}
   obs::Histogram* stage_featurize_ = nullptr;
@@ -312,20 +346,11 @@ class PredictionService {
   obs::Gauge* queue_depth_ = nullptr;          // tcm_serve_queue_depth
   obs::Gauge* cache_hit_ratio_ = nullptr;      // tcm_serve_cache_hit_ratio
 
-  mutable std::mutex stats_mu_;
   // Ring of recent incumbent predictions for drift detection.
+  mutable std::mutex recent_mu_;
   std::vector<double> recent_preds_;
   std::size_t recent_pred_next_ = 0;
-  std::uint64_t requests_ = 0;
-  std::uint64_t batches_ = 0;
-  std::uint64_t failed_requests_ = 0;
-  std::uint64_t model_swaps_ = 0;
-  std::uint64_t shadow_requests_ = 0;
-  std::uint64_t shadow_failures_ = 0;
-  double shadow_ape_sum_ = 0;
-  // Ring of recent (incumbent, shadow) pairs for the Spearman statistic.
-  std::vector<std::pair<double, double>> shadow_pairs_;
-  std::size_t shadow_pair_next_ = 0;
+  const std::shared_ptr<ShadowWindow> shadow_window_ = std::make_shared<ShadowWindow>();
 
   // unique_ptr: WorkerState holds a non-movable arena; the vector is sized
   // before the threads start and never resized after.

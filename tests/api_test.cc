@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "api/json.h"
-#include "api/metrics.h"
 #include "api/service.h"
 #include "api/status.h"
 #include "api/wire.h"
@@ -582,7 +581,7 @@ TEST(Service, StatsAndMetricsExposition) {
 
   // The Prometheus exposition carries the scheduler/drift/feedback series
   // (the former stdout logging path) in valid text format.
-  const std::string text = prometheus_text(stats, (*svc)->metrics().get());
+  const std::string text = (*svc)->metrics()->render_prometheus();
   EXPECT_NE(text.find("tcm_serve_requests_total 6\n"), std::string::npos);
   EXPECT_NE(text.find("tcm_model_active_version 1\n"), std::string::npos);
   EXPECT_NE(text.find("tcm_drift_signal{signal=\"psi\"}"), std::string::npos);

@@ -250,8 +250,7 @@ TEST(Http, MetricsContentTypeAndOneTypeLinePerFamily) {
   EXPECT_EQ(metrics->content_type.rfind("text/plain; version=0.0.4", 0), 0u)
       << metrics->content_type;
 
-  // Exactly one # TYPE line per family across all three sources of the
-  // render (snapshot, wire counters, instrument registry).
+  // Exactly one # TYPE line per family across the whole exposition.
   std::set<std::string> typed;
   std::istringstream lines(metrics->body);
   std::string line;
@@ -260,8 +259,8 @@ TEST(Http, MetricsContentTypeAndOneTypeLinePerFamily) {
     const std::string name = line.substr(7, line.find(' ', 7) - 7);
     EXPECT_TRUE(typed.insert(name).second) << "duplicate TYPE for " << name;
   }
-  // Families that now render out of the instrument registry still show up
-  // exactly once next to the snapshot-rendered ones.
+  // Families registered by different layers (serving, autopilot, process,
+  // HTTP) all show up.
   for (const char* family :
        {"tcm_serve_requests_total", "tcm_drift_signal", "tcm_autopilot_polls_total",
         "tcm_serve_queue_depth", "tcm_process_resident_memory_bytes", "tcm_build_info",
@@ -422,6 +421,105 @@ TEST(Http, RouteCountersSplitByStatusClass) {
   EXPECT_NE(metrics->body.find(
                 "tcm_http_requests_total{route=\"/v1/predict\",method=\"POST\",code=\"4xx\"} 1"),
             std::string::npos);
+  stack.server->stop();
+}
+
+// Golden inventory of /metrics families for the full stack (HTTP, feedback,
+// search) after one predict, one search and one 404: the set of # TYPE
+// names. Any family added, renamed or dropped shows up here.
+TEST(Http, MetricsFamilyInventoryIsStable) {
+  Stack stack = make_stack("families");
+  HttpClient client("127.0.0.1", stack.port());
+  datagen::RandomProgramGenerator gen(datagen::GeneratorOptions::tiny());
+  datagen::RandomScheduleGenerator sgen;
+  Rng rng(91);
+  const ir::Program program = gen.generate(3);
+  ASSERT_EQ(client.post("/v1/predict", predict_body(program, sgen.generate(program, rng)).dump())
+                ->status,
+            200);
+  Json search = Json::object();
+  search.set("program", to_json(program));
+  search.set("beam_width", Json(static_cast<std::int64_t>(2)));
+  Result<HttpResponse> submitted = client.post("/v1/search", search.dump());
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_EQ(submitted->status, 202) << submitted->body;
+  Result<Json> job = Json::parse(submitted->body);
+  ASSERT_TRUE(job.ok());
+  ASSERT_NE(job->find("job_id"), nullptr) << submitted->body;
+  // The event stream ends once the job is terminal: no polling, no sleeps.
+  Result<HttpResponse> events =
+      client.get("/v1/search/" + job->find("job_id")->as_string() + "/events");
+  ASSERT_TRUE(events.ok());
+  EXPECT_NE(events->body.find("\"state\":\"DONE\""), std::string::npos) << events->body;
+  ASSERT_EQ(client.get("/nope")->status, 404);
+
+  Result<HttpResponse> metrics = client.get("/metrics");
+  ASSERT_TRUE(metrics.ok());
+  std::set<std::string> families;
+  std::istringstream lines(metrics->body);
+  std::string line;
+  while (std::getline(lines, line))
+    if (line.rfind("# TYPE ", 0) == 0) families.insert(line.substr(7, line.find(' ', 7) - 7));
+
+  // tcm_uptime_seconds is deliberately absent: it duplicated
+  // tcm_process_uptime_seconds.
+  const std::set<std::string> expected = {
+      "tcm_autopilot_cycle_failures_total",
+      "tcm_autopilot_cycles_total",
+      "tcm_autopilot_enabled",
+      "tcm_autopilot_gc_removed_total",
+      "tcm_autopilot_polls_total",
+      "tcm_autopilot_triggers_total",
+      "tcm_build_info",
+      "tcm_degradation_level",
+      "tcm_drift_drifted",
+      "tcm_drift_reference_size",
+      "tcm_drift_signal",
+      "tcm_drift_threshold",
+      "tcm_drift_window_size",
+      "tcm_feedback_buffered",
+      "tcm_feedback_enabled",
+      "tcm_feedback_offered_total",
+      "tcm_feedback_sampled_total",
+      "tcm_http_connections_total",
+      "tcm_http_request_duration_seconds",
+      "tcm_http_requests_total",
+      "tcm_model_active_version",
+      "tcm_model_previous_version",
+      "tcm_model_swaps_total",
+      "tcm_process_open_fds",
+      "tcm_process_resident_memory_bytes",
+      "tcm_process_threads",
+      "tcm_process_uptime_seconds",
+      "tcm_process_virtual_memory_bytes",
+      "tcm_schedule_memory_entries",
+      "tcm_schedule_memory_hits_total",
+      "tcm_schedule_memory_misses_total",
+      "tcm_search_job_duration_seconds",
+      "tcm_search_jobs_queued",
+      "tcm_search_jobs_running",
+      "tcm_search_jobs_total",
+      "tcm_serve_arena_heap_allocs_total",
+      "tcm_serve_batch_occupancy",
+      "tcm_serve_batch_size",
+      "tcm_serve_batches_total",
+      "tcm_serve_cache_hit_ratio",
+      "tcm_serve_cache_hits_total",
+      "tcm_serve_cache_misses_total",
+      "tcm_serve_failed_requests_total",
+      "tcm_serve_latency_seconds",
+      "tcm_serve_queue_depth",
+      "tcm_serve_requests_total",
+      "tcm_shadow_failures_total",
+      "tcm_shadow_mape",
+      "tcm_shadow_requests_total",
+      "tcm_shadow_spearman",
+      "tcm_shadow_version",
+      "tcm_shed_total",
+      "tcm_stage_duration_seconds",
+  };
+  for (const std::string& f : expected) EXPECT_TRUE(families.count(f)) << "missing family " << f;
+  for (const std::string& f : families) EXPECT_TRUE(expected.count(f)) << "unexpected family " << f;
   stack.server->stop();
 }
 

@@ -25,7 +25,6 @@
 #include <fstream>
 
 #include "api/json.h"
-#include "api/metrics.h"
 #include "api/service.h"
 #include "datagen/generator.h"
 #include "model/cost_model.h"
@@ -167,19 +166,20 @@ TEST(MetricsRegistry, ConcurrentCounterIncLosesNothing) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(MetricsRegistry, EmittedFamiliesSetDedupesPreamblesAcrossSources) {
+TEST(MetricsRegistry, DeclaredCounterFamilyRendersBeforeFirstSample) {
   obs::MetricsRegistry reg;
-  reg.counter("shared_total", "registry side").inc();
-  std::set<std::string> seen;
-  seen.insert("shared_total");  // the hand-rendered source already emitted it
-  const std::string text = reg.render_prometheus(&seen);
-  EXPECT_EQ(text.find("# TYPE shared_total"), std::string::npos);
-  EXPECT_NE(text.find("shared_total 1"), std::string::npos);
-  // And the registry records what *it* emitted for later sources.
-  reg.gauge("fresh", "registry-only").set(2);
-  std::set<std::string> seen2;
-  (void)reg.render_prometheus(&seen2);
-  EXPECT_TRUE(seen2.count("fresh"));
+  reg.counter_family("routes_total", "declared up front");
+  std::string text = reg.render_prometheus();
+  EXPECT_NE(text.find("# TYPE routes_total counter\n"), std::string::npos);
+  EXPECT_EQ(text.find("\nroutes_total"), std::string::npos);  // no sample line yet
+  // The first labelled counter joins the declared family: one preamble.
+  reg.counter("routes_total", "declared up front", "route=\"/a\"").inc();
+  reg.counter_family("routes_total", "declared again");  // no-op
+  text = reg.render_prometheus();
+  EXPECT_EQ(text.find("# TYPE routes_total"), text.rfind("# TYPE routes_total"));
+  EXPECT_NE(text.find("routes_total{route=\"/a\"} 1\n"), std::string::npos);
+  // A declared counter family cannot be reused as another kind.
+  EXPECT_THROW(reg.gauge("routes_total", "wrong kind"), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -599,8 +599,7 @@ TEST(Exposition, FullMetricsRenderPassesFormatLint) {
   ASSERT_TRUE((*svc)->predict(request).ok());
   ASSERT_TRUE((*svc)->quiesce().ok());
 
-  const std::string text =
-      api::prometheus_text((*svc)->stats(), (*svc)->metrics().get(), nullptr);
+  const std::string text = (*svc)->metrics()->render_prometheus();
 
   std::set<std::string> typed;            // names with a TYPE line
   std::map<std::string, std::string> types;

@@ -320,10 +320,9 @@ TEST(PredictionService, HammerMatchesDirectInferenceBitwise) {
   EXPECT_GE(stats.cache_hits, 4u * 3u * 32u - 4u * 32u);
 }
 
-// The legacy autograd path stays available behind use_fused_inference=false
-// and must agree bitwise with direct forward_batch (its historical
-// contract), and within 1e-5 relative error with the fused default.
-TEST(PredictionService, LegacyAutogradPathMatchesForwardBatch) {
+// The service scores through the fused infer_batch engine; it must agree
+// within 1e-5 relative error with the autograd forward_batch reference.
+TEST(PredictionService, FusedServiceMatchesForwardBatch) {
   Rng rng(7);
   model::CostModel cost_model(model::ModelConfig::fast(), rng);
   const ir::Program p = test_program();
@@ -331,12 +330,6 @@ TEST(PredictionService, LegacyAutogradPathMatchesForwardBatch) {
   Rng srng(5);
   std::vector<transforms::Schedule> candidates;
   for (int i = 0; i < 8; ++i) candidates.push_back(sgen.generate(p, srng));
-
-  ServeOptions legacy = fast_options(2);
-  legacy.use_fused_inference = false;
-  PredictionService legacy_service(cost_model, legacy);
-  const std::vector<double> from_legacy = legacy_service.predict_many(p, candidates);
-  EXPECT_EQ(legacy_service.stats().arena_heap_allocs, 0u);  // arena untouched
 
   PredictionService fused_service(cost_model, fast_options(2));
   const std::vector<double> from_fused = fused_service.predict_many(p, candidates);
@@ -347,7 +340,6 @@ TEST(PredictionService, LegacyAutogradPathMatchesForwardBatch) {
     const model::Batch single = model::make_inference_batch({feats.get()});
     const double ref = static_cast<double>(
         cost_model.forward_batch(single, /*training=*/false, eval_rng).value().at(0, 0));
-    EXPECT_EQ(from_legacy[i], ref);
     EXPECT_NEAR(from_fused[i] / ref, 1.0, 1e-5);
   }
 }
