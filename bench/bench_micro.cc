@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): throughput of the pieces that bound
 // the end-to-end pipeline — featurization, model inference (autograd and
-// tape-free fused paths), schedule application, machine-model evaluation,
+// tape-free fused paths), schedule application and the search's
+// parallelize/vectorize heuristics, machine-model evaluation,
 // and NN training steps. Besides the console table, results are written as
 // google-benchmark JSON to BENCH_micro.json so the perf trajectory is
 // trackable across PRs.
@@ -14,6 +15,7 @@
 #include "model/train.h"
 #include "nn/inference.h"
 #include "nn/optim.h"
+#include "search/candidates.h"
 #include "sim/machine_model.h"
 #include "transforms/apply.h"
 
@@ -49,6 +51,19 @@ void BM_LegalityCheck(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(transforms::is_legal(p, s));
 }
 BENCHMARK(BM_LegalityCheck);
+
+// The search's final step on every scored candidate: the structural part of
+// conv_schedule(), finished by the parallelize/vectorize heuristics.
+void BM_ParallelVectorHeuristics(benchmark::State& state) {
+  const ir::Program& p = conv_program();
+  transforms::Schedule s = conv_schedule();
+  s.parallels.clear();
+  s.vectorizes.clear();
+  const search::SearchSpaceOptions space;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(search::apply_parallel_vector_heuristics(p, s, space));
+}
+BENCHMARK(BM_ParallelVectorHeuristics);
 
 void BM_Featurize(benchmark::State& state) {
   const ir::Program& p = conv_program();

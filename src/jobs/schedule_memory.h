@@ -14,12 +14,22 @@
 //               known-good region.
 //   miss        full search.
 //
-// Durability follows the registry's fsync+rename discipline: every store
-// rewrites the whole file (entries stay small and store rate is one per
-// completed job) via stage → fsync → rename → fsync(dir) under bounded
-// retries. A corrupt file is discarded with a WARN at load — losing the
-// cache is benign, refusing to serve is not. Fingerprints are serialized as
-// decimal strings because the JSON layer keeps integers in int64.
+// Durability is an append-only journal: a header line
+// {"format":"tcm-schedule-memory","version":2} followed by one JSON entry
+// per line. A store appends its entry's line and fdatasyncs it under bounded
+// retries, so a store that returns is durable and costs the same however
+// many entries are remembered. Loading replays the lines; a later line for
+// the same program wins under the upsert rule. A torn or garbled line (a
+// crash mid-append) is dropped with a WARN and the entries around it are
+// kept; a file whose header is bad is discarded with a WARN — losing the
+// cache is benign, refusing to serve is not. The file is rewritten with only
+// the live entries (stage → fsync → rename → fsync(dir)) when it is created,
+// after a version-1 file (one JSON document, still read) or a dropped line
+// was loaded, and when it holds more than twice as many entry lines as live
+// entries. Hit counts reach disk with an entry's line and at those rewrites,
+// so hits served since the last of them are lost on restart. Fingerprints
+// are serialized as decimal strings because the JSON layer keeps integers in
+// int64.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +78,7 @@ class ScheduleMemory {
                                                 std::size_t max = 4);
 
   // Upsert: replaces an existing entry only when the new speedup is better.
-  // Persists (when configured) before returning.
+  // Persists a kept entry (when configured) before returning.
   void store(MemoryEntry entry);
 
   std::size_t size() const;
@@ -76,8 +86,13 @@ class ScheduleMemory {
   const std::string& path() const { return path_; }
 
  private:
-  void load();            // once, from the constructor
-  void persist_locked();  // requires mu_ held
+  // The helpers below require mu_ held (load() runs from the constructor).
+  void load();
+  // Inserts or replaces under the upsert rule; false when `entry` is not
+  // better than the remembered one.
+  bool upsert_locked(MemoryEntry entry);
+  void persist_locked(const MemoryEntry& entry);  // append, or rewrite when due
+  void rewrite_locked();                          // throws on I/O failure
 
   const std::string path_;
   mutable std::mutex mu_;
@@ -87,6 +102,8 @@ class ScheduleMemory {
   std::uint64_t shape_hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t stores_ = 0;
+  std::size_t journal_lines_ = 0;  // entry lines in the file
+  bool rewrite_due_ = true;        // no clean journal on disk to append to
   obs::Counter* hit_exact_ = nullptr;
   obs::Counter* hit_shape_ = nullptr;
   obs::Counter* miss_ = nullptr;

@@ -173,6 +173,12 @@ transforms::Schedule apply_parallel_vector_heuristics(const ir::Program& p,
                                                       const transforms::Schedule& schedule,
                                                       const SearchSpaceOptions& options) {
   transforms::Schedule result = schedule;
+  // The schedule is applied once; each heuristic step is then tried on that
+  // state. A rejected parallelize/vectorize changes nothing and no legality
+  // check reads the parallel or vector flags, so this matches re-applying
+  // the extended schedule from scratch for every try.
+  transforms::Applier state(p);
+  if (state.apply(schedule)) return result;  // illegal: nothing to extend
   // Parallelize the outermost legal level of each computation (levels are
   // pre-tiling coordinates; level 0 or 1). Skip tiny extents where spawning
   // threads cannot pay off.
@@ -180,21 +186,18 @@ transforms::Schedule apply_parallel_vector_heuristics(const ir::Program& p,
     const std::vector<std::int64_t> extents = p.extents_of(c.id);
     for (int level = 0; level < std::min<int>(2, static_cast<int>(extents.size())); ++level) {
       if (extents[static_cast<std::size_t>(level)] < 4) continue;
-      transforms::Schedule candidate = result;
-      candidate.parallels.push_back({c.id, level});
-      if (transforms::try_apply_schedule(p, candidate).ok) {
-        result = std::move(candidate);
+      const transforms::ParallelizeSpec spec{c.id, level};
+      if (!state.parallelize(spec)) {
+        result.parallels.push_back(spec);
         break;
       }
     }
   }
   // Vectorize the innermost loop when the width fits.
   for (const ir::Computation& c : p.comps) {
-    const std::vector<std::int64_t> extents = p.extents_of(c.id);
-    if (extents.back() < options.vector_width) continue;
-    transforms::Schedule candidate = result;
-    candidate.vectorizes.push_back({c.id, options.vector_width});
-    if (transforms::try_apply_schedule(p, candidate).ok) result = std::move(candidate);
+    if (p.extents_of(c.id).back() < options.vector_width) continue;
+    const transforms::VectorizeSpec spec{c.id, options.vector_width};
+    if (!state.vectorize(spec)) result.vectorizes.push_back(spec);
   }
   return result;
 }

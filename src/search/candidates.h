@@ -59,8 +59,11 @@ std::vector<transforms::Schedule> expand_decision(const ir::Program& p,
 
 // Halide-style final heuristics (Section 4): parallelize the outermost level
 // that is legal and profitable (extent >= a small threshold), vectorize the
-// innermost loop when legal and the extent allows the width. Returns the
-// extended (still legal) schedule.
+// innermost loop when legal and the extent allows the width. The schedule is
+// applied once and each parallelize/vectorize is tried on that applied
+// program (a rejected try changes nothing), so the cost is one application
+// per call, not one per try. Returns the extended (still legal) schedule; an
+// illegal schedule is returned unchanged.
 transforms::Schedule apply_parallel_vector_heuristics(const ir::Program& p,
                                                       const transforms::Schedule& schedule,
                                                       const SearchSpaceOptions& options);

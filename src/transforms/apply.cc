@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -48,100 +46,75 @@ ir::AccessMatrix tile_columns(const ir::AccessMatrix& m, int t,
   return out;
 }
 
-// Stateful applier working on a private copy of the program.
-class Applier {
- public:
-  explicit Applier(const ir::Program& p) : prog_(p) {}
+}  // namespace
 
-  // Each step returns an error string on legality failure.
-  std::optional<std::string> fuse(const FuseSpec& s);
-  std::optional<std::string> skew(const SkewSpec& s);
-  std::optional<std::string> unimodular(const UnimodularSpec& s);
-  std::optional<std::string> interchange(const InterchangeSpec& s);
-  std::optional<std::string> tile(const TileSpec& s);
-  std::optional<std::string> unroll(const UnrollSpec& s);
-  std::optional<std::string> parallelize(const ParallelizeSpec& s);
-  std::optional<std::string> vectorize(const VectorizeSpec& s);
+std::optional<std::string> Applier::check_comp(int comp_id) const {
+  if (comp_id < 0 || comp_id >= static_cast<int>(prog_.comps.size()))
+    return "unknown computation id " + std::to_string(comp_id);
+  return std::nullopt;
+}
 
-  // Renumbers the loop arena after structural edits and re-validates.
-  std::optional<std::string> finalize();
-
-  ir::Program take() { return std::move(prog_); }
-
- private:
-  std::optional<std::string> check_comp(int comp_id) const {
-    if (comp_id < 0 || comp_id >= static_cast<int>(prog_.comps.size()))
-      return "unknown computation id " + std::to_string(comp_id);
-    return std::nullopt;
-  }
-
-  // Checks that swapping levels (la, lb) of the nests under loop `b_id`
-  // preserves every producer->consumer dependence: the post-swap distance
-  // vector is the pre-swap one with entries la and lb exchanged (the raw
-  // distances and the per-level mapping are invariant under the swap), so
-  // the check runs *before* any mutation and needs no rollback.
-  std::optional<std::string> check_interchange_dependences(int b_id, int la, int lb) const {
-    std::vector<int> comps;
-    collect_comps(prog_, b_id, comps);
-    if (comps.size() < 2) return std::nullopt;
-    const std::vector<int> order = prog_.comps_in_order();
-    std::vector<int> order_index(prog_.comps.size(), 0);
-    for (std::size_t i = 0; i < order.size(); ++i)
-      order_index[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
-    for (int pa : comps) {
-      const ir::Computation& prod = prog_.comp(pa);
-      for (int cb : comps) {
-        if (pa == cb) continue;
-        const ir::Computation& cons = prog_.comp(cb);
-        for (const ir::BufferAccess& load : cons.rhs.loads()) {
-          if (load.buffer_id != prod.store.buffer_id) continue;
-          auto dvec = dependence_distance_ranges(prog_, pa, cb, load);
-          if (!dvec)
-            return "interchange: dependence of " + cons.name + " on " + prod.name +
-                   " is not analyzable";
-          if (la < static_cast<int>(dvec->size()) && lb < static_cast<int>(dvec->size()))
-            std::swap((*dvec)[static_cast<std::size_t>(la)],
-                      (*dvec)[static_cast<std::size_t>(lb)]);
-          const bool prod_first = order_index[static_cast<std::size_t>(pa)] <
-                                  order_index[static_cast<std::size_t>(cb)];
-          if (!distances_lex_nonneg(*dvec, prod_first))
-            return "interchange: would reverse the dependence of " + cons.name + " on " +
-                   prod.name + " (lexicographically negative distance after swap)";
-        }
+// Checks that swapping levels (la, lb) of the nests under loop `b_id`
+// preserves every producer->consumer dependence: the post-swap distance
+// vector is the pre-swap one with entries la and lb exchanged (the raw
+// distances and the per-level mapping are invariant under the swap), so
+// the check runs *before* any mutation and needs no rollback.
+std::optional<std::string> Applier::check_interchange_dependences(int b_id, int la,
+                                                                  int lb) const {
+  std::vector<int> comps;
+  collect_comps(prog_, b_id, comps);
+  if (comps.size() < 2) return std::nullopt;
+  const std::vector<int> order = prog_.comps_in_order();
+  std::vector<int> order_index(prog_.comps.size(), 0);
+  for (std::size_t i = 0; i < order.size(); ++i)
+    order_index[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
+  for (int pa : comps) {
+    const ir::Computation& prod = prog_.comp(pa);
+    for (int cb : comps) {
+      if (pa == cb) continue;
+      const ir::Computation& cons = prog_.comp(cb);
+      for (const ir::BufferAccess& load : cons.rhs.loads()) {
+        if (load.buffer_id != prod.store.buffer_id) continue;
+        auto dvec = dependence_distance_ranges(prog_, pa, cb, load);
+        if (!dvec)
+          return "interchange: dependence of " + cons.name + " on " + prod.name +
+                 " is not analyzable";
+        if (la < static_cast<int>(dvec->size()) && lb < static_cast<int>(dvec->size()))
+          std::swap((*dvec)[static_cast<std::size_t>(la)], (*dvec)[static_cast<std::size_t>(lb)]);
+        const bool prod_first = order_index[static_cast<std::size_t>(pa)] <
+                                order_index[static_cast<std::size_t>(cb)];
+        if (!distances_lex_nonneg(*dvec, prod_first))
+          return "interchange: would reverse the dependence of " + cons.name + " on " +
+                 prod.name + " (lexicographically negative distance after swap)";
       }
     }
-    return std::nullopt;
   }
+  return std::nullopt;
+}
 
-  // True iff levels [a, b] of `nest` form a perfectly nested chain: each
-  // loop in [a, b) has exactly one body item, the next loop of the nest.
-  bool perfectly_nested(const std::vector<int>& nest, int a, int b) const {
-    for (int l = a; l < b; ++l) {
-      const ir::LoopNode& ln = prog_.loop(nest[static_cast<std::size_t>(l)]);
-      if (ln.body.size() != 1) return false;
-      const ir::BodyItem& only = ln.body.front();
-      if (only.kind != ir::BodyItem::Kind::Loop ||
-          only.index != nest[static_cast<std::size_t>(l + 1)])
-        return false;
-    }
-    return true;
+// True iff levels [a, b] of `nest` form a perfectly nested chain: each loop
+// in [a, b) has exactly one body item, the next loop of the nest.
+bool Applier::perfectly_nested(const std::vector<int>& nest, int a, int b) const {
+  for (int l = a; l < b; ++l) {
+    const ir::LoopNode& ln = prog_.loop(nest[static_cast<std::size_t>(l)]);
+    if (ln.body.size() != 1) return false;
+    const ir::BodyItem& only = ln.body.front();
+    if (only.kind != ir::BodyItem::Kind::Loop ||
+        only.index != nest[static_cast<std::size_t>(l + 1)])
+      return false;
   }
+  return true;
+}
 
-  // Maps a pre-tiling level of `comp` to the current nest index, accounting
-  // for an earlier tiling of the same nest.
-  int map_level(int comp_id, int level) const {
-    auto it = tiled_.find(comp_id);
-    if (it == tiled_.end()) return level;
-    const auto& [t, d] = it->second;
-    if (level < t + d) return level;  // outer tile loops keep their index
-    return level + d;
-  }
-
-  ir::Program prog_;
-  // comp id -> (tile level, tile dims) for nests already tiled; shared nests
-  // record every computation they cover.
-  std::map<int, std::pair<int, int>> tiled_;
-};
+// Maps a pre-tiling level of `comp` to the current nest index, accounting
+// for an earlier tiling of the same nest.
+int Applier::map_level(int comp_id, int level) const {
+  auto it = tiled_.find(comp_id);
+  if (it == tiled_.end()) return level;
+  const auto& [t, d] = it->second;
+  if (level < t + d) return level;  // outer tile loops keep their index
+  return level + d;
+}
 
 std::optional<std::string> Applier::fuse(const FuseSpec& s) {
   if (auto e = check_comp(s.comp_a)) return e;
@@ -621,32 +594,33 @@ std::optional<std::string> Applier::finalize() {
   return std::nullopt;
 }
 
-}  // namespace
+std::optional<std::string> Applier::apply(const Schedule& s) {
+  for (const auto& f : s.fusions)
+    if (auto e = fuse(f)) return e;
+  for (const auto& sk : s.skews)
+    if (auto e = skew(sk)) return e;
+  for (const auto& u : s.unimodulars)
+    if (auto e = unimodular(u)) return e;
+  for (const auto& i : s.interchanges)
+    if (auto e = interchange(i)) return e;
+  for (const auto& t : s.tiles)
+    if (auto e = tile(t)) return e;
+  for (const auto& u : s.unrolls)
+    if (auto e = unroll(u)) return e;
+  for (const auto& pr : s.parallels)
+    if (auto e = parallelize(pr)) return e;
+  for (const auto& v : s.vectorizes)
+    if (auto e = vectorize(v)) return e;
+  return finalize();
+}
 
 ApplyResult try_apply_schedule(const ir::Program& p, const Schedule& s) {
   ApplyResult result;
   Applier applier(p);
-  auto step = [&](std::optional<std::string> err) {
-    if (err && result.error.empty()) result.error = *err;
-    return !err;
-  };
-  for (const auto& f : s.fusions)
-    if (!step(applier.fuse(f))) return result;
-  for (const auto& sk : s.skews)
-    if (!step(applier.skew(sk))) return result;
-  for (const auto& u : s.unimodulars)
-    if (!step(applier.unimodular(u))) return result;
-  for (const auto& i : s.interchanges)
-    if (!step(applier.interchange(i))) return result;
-  for (const auto& t : s.tiles)
-    if (!step(applier.tile(t))) return result;
-  for (const auto& u : s.unrolls)
-    if (!step(applier.unroll(u))) return result;
-  for (const auto& pr : s.parallels)
-    if (!step(applier.parallelize(pr))) return result;
-  for (const auto& v : s.vectorizes)
-    if (!step(applier.vectorize(v))) return result;
-  if (!step(applier.finalize())) return result;
+  if (auto err = applier.apply(s)) {
+    result.error = std::move(*err);
+    return result;
+  }
   result.ok = true;
   result.program = applier.take();
   return result;

@@ -145,6 +145,124 @@ TEST(ScheduleMemory, CorruptFileIsDiscardedNotFatal) {
   EXPECT_EQ(ScheduleMemory(path).size(), 1u);
 }
 
+std::vector<std::string> file_lines(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(f, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string file_text(std::istream& in) {
+  in.clear();
+  in.seekg(0);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+constexpr const char* kJournalHeader = "{\"format\":\"tcm-schedule-memory\",\"version\":2}";
+
+TEST(ScheduleMemoryJournal, StoresAppendOneLineWithoutRewriting) {
+  const std::string path = scratch_dir("journal_append") + "/memory.json";
+  constexpr std::uint64_t kN = 6, kK = 5;
+  {
+    ScheduleMemory memory(path);
+    for (std::uint64_t fp = 1; fp <= kN; ++fp) memory.store(make_entry(fp, 100, 2.0));
+  }
+  ScheduleMemory memory(path);
+  ASSERT_EQ(memory.size(), kN);
+  // A stream opened on the file keeps reading the same inode: a rewrite
+  // (stage + rename) would leave it on the old content.
+  std::ifstream before(path, std::ios::binary);
+  ASSERT_TRUE(before.good());
+  for (std::uint64_t fp = kN + 1; fp <= kN + kK; ++fp) memory.store(make_entry(fp, 100, 2.0));
+  const std::vector<std::string> lines = file_lines(path);
+  ASSERT_EQ(lines.size(), 1 + kN + kK);
+  EXPECT_EQ(lines.front(), kJournalHeader);
+  std::ifstream after(path, std::ios::binary);
+  EXPECT_EQ(file_text(before), file_text(after)) << "the file was rewritten";
+  EXPECT_EQ(ScheduleMemory(path).size(), kN + kK);
+}
+
+TEST(ScheduleMemoryJournal, TornTrailingLineKeepsEarlierEntries) {
+  const std::string path = scratch_dir("journal_torn") + "/memory.json";
+  {
+    ScheduleMemory memory(path);
+    for (std::uint64_t fp = 1; fp <= 3; ++fp) memory.store(make_entry(fp, 100, 2.0));
+  }
+  { std::ofstream(path, std::ios::app) << "{\"program_fp\":\"4\",\"shape_fp\":\"1"; }
+  ScheduleMemory memory(path);
+  EXPECT_EQ(memory.size(), 3u);
+  EXPECT_FALSE(memory.lookup(4).has_value());
+  memory.store(make_entry(5, 100, 2.0));
+  const std::vector<std::string> lines = file_lines(path);
+  ASSERT_EQ(lines.size(), 5u);
+  EXPECT_EQ(lines.front(), kJournalHeader);
+  for (const std::string& line : lines) EXPECT_TRUE(api::Json::parse(line).ok()) << line;
+  std::ifstream in(path, std::ios::binary);
+  const std::string text = file_text(in);
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.back(), '\n');
+  EXPECT_EQ(ScheduleMemory(path).size(), 4u);
+}
+
+TEST(ScheduleMemoryJournal, VersionOneFileIsReadAndCompacted) {
+  const std::string path = scratch_dir("journal_v1") + "/memory.json";
+  {
+    api::Json entries = api::Json::array();
+    for (int fp = 1; fp <= 3; ++fp) {
+      api::Json e = api::Json::object();
+      e.set("program_fp", std::to_string(fp));
+      e.set("shape_fp", "77");
+      e.set("speedup", 1.5 * fp);
+      e.set("evaluations", 10);
+      e.set("method", "mcts");
+      e.set("hits", "4");
+      e.set("schedule", api::to_json(make_entry(0, 0, 0).schedule));
+      entries.push_back(std::move(e));
+    }
+    api::Json doc = api::Json::object();
+    doc.set("format", "tcm-schedule-memory");
+    doc.set("version", 1);
+    doc.set("entries", std::move(entries));
+    std::ofstream(path) << doc.dump();
+  }
+  ScheduleMemory memory(path);
+  ASSERT_EQ(memory.size(), 3u);
+  std::optional<MemoryEntry> hit = memory.lookup(3);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_DOUBLE_EQ(hit->predicted_speedup, 4.5);
+  EXPECT_EQ(hit->shape_fp, 77u);
+  EXPECT_EQ(hit->method, "mcts");
+  EXPECT_EQ(hit->hits, 5u);
+  ASSERT_EQ(hit->schedule.parallels.size(), 1u);
+  const std::vector<std::string> lines = file_lines(path);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines.front(), kJournalHeader);
+  EXPECT_EQ(ScheduleMemory(path).size(), 3u);
+}
+
+TEST(ScheduleMemoryJournal, CompactionPastTwiceKeepsBestSpeedup) {
+  const std::string path = scratch_dir("journal_compact") + "/memory.json";
+  ScheduleMemory memory(path);
+  memory.store(make_entry(1, 100, 1.0));
+  memory.store(make_entry(2, 100, 1.0));
+  ASSERT_TRUE(memory.lookup(1).has_value());  // one hit, written at compaction
+  // Improvements of program 1 append until the file holds more than twice
+  // as many entry lines as live entries, which rewrites it to the live set.
+  const std::vector<std::pair<double, std::size_t>> steps = {
+      {2.0, 4}, {3.0, 5}, {0.5, 5}, {4.0, 3}, {5.0, 4}};
+  for (const auto& [speedup, lines] : steps) {
+    memory.store(make_entry(1, 100, speedup));
+    EXPECT_EQ(file_lines(path).size(), lines) << "after storing speedup " << speedup;
+  }
+  ScheduleMemory reopened(path);
+  ASSERT_EQ(reopened.size(), 2u);
+  std::optional<MemoryEntry> best = reopened.lookup(1);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_DOUBLE_EQ(best->predicted_speedup, 5.0);
+  EXPECT_EQ(best->hits, 2u);  // the persisted hit plus this lookup
+  EXPECT_DOUBLE_EQ(reopened.lookup(2)->predicted_speedup, 1.0);
+}
+
 TEST(ShapeFingerprint, SameLoopNestDifferentArithmeticCollides) {
   ir::Program a = multi_root_program();
   ir::Program b = multi_root_program();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "benchsuite/benchmarks.h"
 #include "datagen/generator.h"
@@ -117,6 +118,94 @@ TEST(Heuristics, SkipsReductionOuterLoopCorrectly) {
   const transforms::Schedule s = apply_parallel_vector_heuristics(p, {}, {});
   EXPECT_EQ(s.parallels.size(), 2u);
   EXPECT_TRUE(transforms::is_legal(p, s));
+}
+
+// The heuristic pass by re-application: every parallelize/vectorize try
+// re-applies the extended schedule from scratch. This is the reference the
+// single-application pass in apply_parallel_vector_heuristics must match.
+transforms::Schedule heuristics_by_reapplication(const ir::Program& p,
+                                                 const transforms::Schedule& schedule,
+                                                 const SearchSpaceOptions& options) {
+  transforms::Schedule result = schedule;
+  for (const ir::Computation& c : p.comps) {
+    const std::vector<std::int64_t> extents = p.extents_of(c.id);
+    for (int level = 0; level < std::min<int>(2, static_cast<int>(extents.size())); ++level) {
+      if (extents[static_cast<std::size_t>(level)] < 4) continue;
+      transforms::Schedule candidate = result;
+      candidate.parallels.push_back({c.id, level});
+      if (transforms::try_apply_schedule(p, candidate).ok) {
+        result = std::move(candidate);
+        break;
+      }
+    }
+  }
+  for (const ir::Computation& c : p.comps) {
+    const std::vector<std::int64_t> extents = p.extents_of(c.id);
+    if (extents.back() < options.vector_width) continue;
+    transforms::Schedule candidate = result;
+    candidate.vectorizes.push_back({c.id, options.vector_width});
+    if (transforms::try_apply_schedule(p, candidate).ok) result = std::move(candidate);
+  }
+  return result;
+}
+
+TEST(Heuristics, SingleApplicationMatchesReapplication) {
+  int programs = 0, multi_root = 0, shared_root = 0, schedules = 0, annotated = 0;
+  for (const bool tiny : {false, true}) {
+    const datagen::RandomProgramGenerator gen(tiny ? datagen::GeneratorOptions::tiny()
+                                                   : datagen::GeneratorOptions{});
+    const datagen::RandomScheduleGenerator sgen;
+    SearchSpaceOptions space;
+    space.vector_width = tiny ? 4 : 8;
+    for (std::uint64_t seed = 0; seed < 100; ++seed) {
+      const ir::Program p = gen.generate(seed);
+      ++programs;
+      std::set<int> roots;
+      for (const ir::Computation& c : p.comps) roots.insert(p.nest_of(c.id).front());
+      multi_root += p.roots.size() > 1;
+      shared_root += roots.size() < p.comps.size();
+      auto check = [&](const transforms::Schedule& s) {
+        const transforms::Schedule expected = heuristics_by_reapplication(p, s, space);
+        EXPECT_EQ(apply_parallel_vector_heuristics(p, s, space), expected)
+            << "tiny=" << tiny << " seed=" << seed << " schedule: " << s.to_string();
+        ++schedules;
+        return expected;
+      };
+      // Every alternative at every decision point, walking a random path.
+      Rng rng(seed + 1);
+      transforms::Schedule prefix;
+      for (const DecisionPoint& d : decision_points(p, space)) {
+        const std::vector<transforms::Schedule> alts = expand_decision(p, prefix, d, space);
+        for (const transforms::Schedule& s : alts) check(s);
+        prefix = alts[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(alts.size()) - 1))];
+      }
+      // Schedules that already carry parallels and vectorizes: a finished
+      // candidate, and random legal schedules from the data generator.
+      const transforms::Schedule finished = check(prefix);
+      annotated += !finished.parallels.empty() || !finished.vectorizes.empty();
+      check(finished);
+      for (int trial = 0; trial < 3; ++trial) {
+        const transforms::Schedule s = sgen.generate(p, rng);
+        annotated += !s.parallels.empty() || !s.vectorizes.empty();
+        check(s);
+      }
+    }
+  }
+  EXPECT_GE(programs, 200);
+  EXPECT_GT(multi_root, 0);
+  EXPECT_GT(shared_root, 0);
+  EXPECT_GT(annotated, 0);
+  EXPECT_GT(schedules, 10 * programs);
+}
+
+TEST(Heuristics, IllegalScheduleIsReturnedUnchanged) {
+  const ir::Program p = benchsuite::make_mvt(128);
+  transforms::Schedule illegal;
+  illegal.tiles.push_back({0, 0, {256, 256}});  // tile larger than the extent
+  ASSERT_FALSE(transforms::is_legal(p, illegal));
+  EXPECT_EQ(apply_parallel_vector_heuristics(p, illegal, {}), illegal);
+  EXPECT_EQ(heuristics_by_reapplication(p, illegal, {}), illegal);
 }
 
 // ---------------------------------------------------------------------------

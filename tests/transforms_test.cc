@@ -790,6 +790,50 @@ TEST(Apply, ThrowingVariantReportsReason) {
   EXPECT_THROW(apply_schedule(p, s), std::invalid_argument);
 }
 
+// Everything a parallelize/vectorize step could change, rendered for
+// comparison.
+std::string annotated_state(const ir::Program& p) {
+  std::string out = p.to_string();
+  for (const ir::LoopNode& l : p.loops)
+    out += " L" + std::to_string(l.id) + ":" + std::to_string(l.parallel) + "/" +
+           std::to_string(l.vector_width) + "/" + std::to_string(l.unroll);
+  return out;
+}
+
+// The invariant behind trying annotations on an applied schedule: a rejected
+// parallelize or vectorize step leaves the program exactly as it was.
+TEST(Applier, RejectedAnnotationStepLeavesProgramUnchanged) {
+  datagen::RandomScheduleGenerator sched_gen;
+  int rejected = 0, accepted = 0;
+  for (int seed = 0; seed < 40; ++seed) {
+    datagen::RandomProgramGenerator gen(seed % 2 ? datagen::GeneratorOptions::tiny()
+                                                 : datagen::GeneratorOptions{});
+    const ir::Program p = gen.generate(static_cast<std::uint64_t>(seed));
+    Rng rng(static_cast<std::uint64_t>(seed) + 7);
+    Applier applier(p);
+    ASSERT_EQ(applier.apply(sched_gen.generate(p, rng)), std::nullopt);
+    std::string before = annotated_state(applier.program());
+    auto step = [&](std::optional<std::string> err) {
+      const std::string after = annotated_state(applier.program());
+      if (err) {
+        ++rejected;
+        EXPECT_EQ(after, before) << "seed " << seed << ": " << *err;
+      } else {
+        ++accepted;
+        before = after;
+      }
+    };
+    for (const ir::Computation& c : p.comps) {
+      for (int level = -1; level <= p.depth_of(c.id); ++level)
+        step(applier.parallelize({c.id, level}));
+      for (int width : {3, 4, 8, 32}) step(applier.vectorize({c.id, width}));
+    }
+    step(applier.parallelize({static_cast<int>(p.comps.size()), 0}));
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
+}
+
 // Property: any schedule accepted by the legality checker preserves program
 // semantics exactly (interpreter results are bit-comparable modulo float
 // reassociation tolerance). This is the core guarantee the paper's data
