@@ -73,6 +73,10 @@ SearchJobManager::SearchJobManager(serve::PredictionService& service,
 
 SearchJobManager::~SearchJobManager() { stop(); }
 
+std::chrono::steady_clock::time_point SearchJobManager::now() const {
+  return options_.now_fn ? options_.now_fn() : std::chrono::steady_clock::now();
+}
+
 std::string SearchJobManager::submit(SearchJobRequest request) {
   if (request.beam_width < 1) throw std::invalid_argument("beam_width must be >= 1");
   if (request.mcts_iterations < 1) throw std::invalid_argument("iterations must be >= 1");
@@ -85,8 +89,8 @@ std::string SearchJobManager::submit(SearchJobRequest request) {
   job->info.program_fingerprint = fp;
   job->deadline = job->request.deadline;
   if (job->deadline == serve::kNoDeadline && options_.default_deadline.count() > 0)
-    job->deadline = std::chrono::steady_clock::now() + options_.default_deadline;
-  job->enqueued_at = std::chrono::steady_clock::now();
+    job->deadline = now() + options_.default_deadline;
+  job->enqueued_at = now();
 
   // Memory short-circuit: a program we already autoscheduled is answered
   // instantly — the job is born DONE and never touches the queue.
@@ -106,7 +110,7 @@ std::string SearchJobManager::submit(SearchJobRequest request) {
     if (!hit.has_value() && admission_ && admission_->enabled()) {
       std::chrono::nanoseconds oldest_age{0};
       if (!queue_.empty())
-        oldest_age = std::chrono::steady_clock::now() - queue_.front()->enqueued_at;
+        oldest_age = now() - queue_.front()->enqueued_at;
       const serve::AdmissionController::Decision d = admission_->admit(queue_.size(), oldest_age);
       if (!d.admit)
         throw serve::AdmissionRejectedError("search queue over capacity (" +
@@ -283,7 +287,7 @@ void SearchJobManager::run_job(Job& job, obs::Watchdog::Handle heartbeat) {
     finish(job, JobState::kCancelled, "");
     return;
   }
-  if (std::chrono::steady_clock::now() >= job.deadline) {
+  if (now() >= job.deadline) {
     finish(job, JobState::kFailed, "DEADLINE_EXCEEDED: job deadline expired while queued");
     return;
   }
@@ -304,8 +308,7 @@ void SearchJobManager::run_job(Job& job, obs::Watchdog::Handle heartbeat) {
   auto arm_eval_deadline = [&] {
     serve::RequestDeadline d = job.deadline;
     if (options_.eval_budget.count() > 0) {
-      const serve::RequestDeadline slice =
-          std::chrono::steady_clock::now() + options_.eval_budget;
+      const serve::RequestDeadline slice = now() + options_.eval_budget;
       if (slice < d) d = slice;
     }
     evaluator.set_deadline(d);
@@ -324,13 +327,11 @@ void SearchJobManager::run_job(Job& job, obs::Watchdog::Handle heartbeat) {
         job.info.best_speedup = progress.best_score;
         job.info.best_schedule = *progress.best_schedule;
       }
-      job.info.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                            job.enqueued_at)
-                                  .count();
+      job.info.wall_seconds = std::chrono::duration<double>(now() - job.enqueued_at).count();
     }
     emit_event(job);
     if (job.cancel.load(std::memory_order_relaxed)) return false;
-    if (std::chrono::steady_clock::now() >= job.deadline)
+    if (now() >= job.deadline)
       throw serve::DeadlineExceededError("search job deadline exceeded mid-search");
     arm_eval_deadline();
     return true;
@@ -431,8 +432,7 @@ void SearchJobManager::finish(Job& job, JobState state, const std::string& error
       return;
     job.info.state = state;
     job.info.error = error;
-    wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - job.enqueued_at)
-               .count();
+    wall = std::chrono::duration<double>(now() - job.enqueued_at).count();
     job.info.wall_seconds = wall;
   }
   switch (state) {

@@ -440,15 +440,32 @@ TEST(SearchJobManager, ExpiredDeadlineFailsInsteadOfHanging) {
   Rng rng(7);
   model::CostModel cost_model(model::ModelConfig::fast(), rng);
   serve::PredictionService service(cost_model, serve_options());
-  SearchJobManager manager(service, {});
+
+  // The manager's clock advances one hour per read, however long the search
+  // really takes. Its reads for this job run: 1 submit (enqueued_at), 2 the
+  // worker's expired-while-queued check, 3 arming the first scoring
+  // deadline, then per progress callback 4 wall_seconds and 5 the deadline
+  // check. A deadline at 3.5 hours therefore passes while the first beam
+  // decision is being scored and is seen after that batch. The clock runs
+  // ahead of steady_clock, so the scoring deadlines the PredictionService
+  // sees stay in the real future.
+  const auto start = std::chrono::steady_clock::now();
+  const std::chrono::seconds step(3600);
+  std::atomic<int> reads{0};
+  SearchJobManagerOptions options;
+  options.now_fn = [&] { return start + step * (reads.fetch_add(1) + 1); };
+  SearchJobManager manager(service, options);
 
   SearchJobRequest request;
   request.program = slow_program();
-  request.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(30);
+  request.deadline = start + 3 * step + step / 2;
   const std::string id = manager.submit(request);
   const SearchJobInfo info = wait_terminal(manager, id);
   EXPECT_EQ(info.state, JobState::kFailed);
   EXPECT_NE(info.error.find("DEADLINE_EXCEEDED"), std::string::npos) << info.error;
+  // Failed mid-search, not by the expired-while-queued check.
+  EXPECT_GT(info.evaluations, 0) << info.error;
+  EXPECT_LT(info.progress, 1.0) << info.error;
 }
 
 TEST(SearchJobManager, QueueCapShedsWithAdmissionRejected) {
