@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): throughput of the pieces that bound
 // the end-to-end pipeline — featurization, model inference (autograd and
-// tape-free fused paths), schedule application and the search's
-// parallelize/vectorize heuristics, machine-model evaluation,
+// tape-free fused paths), schedule application, the search's candidate
+// enumeration and parallelize/vectorize heuristics, machine-model evaluation,
 // and NN training steps. Besides the console table, results are written as
 // google-benchmark JSON to BENCH_micro.json so the perf trajectory is
 // trackable across PRs.
@@ -64,6 +64,32 @@ void BM_ParallelVectorHeuristics(benchmark::State& state) {
     benchmark::DoNotOptimize(search::apply_parallel_vector_heuristics(p, s, space));
 }
 BENCHMARK(BM_ParallelVectorHeuristics);
+
+// One decision point's enumeration, as beam search runs it for every beam
+// state. Arg 0 expands the empty schedule (all perfbench's
+// search.enumerate_us sees); arg 1 expands the tile decision under a prefix
+// that already interchanges, so every alternative re-applies that prefix.
+void BM_ExpandDecision(benchmark::State& state) {
+  const ir::Program& p = conv_program();
+  const search::SearchSpaceOptions space;
+  const std::vector<search::DecisionPoint> points = search::decision_points(p, space);
+  std::size_t tile = 0;
+  while (points[tile].kind != search::DecisionPoint::Kind::Tile) ++tile;
+  transforms::Schedule prefix;
+  if (state.range(0) == 1) {
+    for (std::size_t d = 0; d < tile; ++d)
+      prefix = search::expand_decision(p, prefix, points[d], space).back();
+    if (prefix.empty()) state.SkipWithError("prefix is empty");
+  }
+  std::size_t candidates = 0;
+  for (auto _ : state) {
+    const auto alternatives = search::expand_decision(p, prefix, points[tile], space);
+    candidates += alternatives.size();
+    benchmark::DoNotOptimize(alternatives.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(candidates));
+}
+BENCHMARK(BM_ExpandDecision)->Arg(0)->Arg(1);
 
 void BM_Featurize(benchmark::State& state) {
   const ir::Program& p = conv_program();
@@ -146,6 +172,30 @@ void BM_CostModelInferBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CostModelInferBatch)->Arg(1)->Arg(32);
+
+// The dedup walk's worst case: one structure, every row's computation
+// vectors perturbed, so no two rows share a computation or loop subtree and
+// the class bookkeeping is pure overhead.
+void BM_CostModelInferBatchDistinct(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  const model::Dataset ds = inference_dataset(1);
+  std::vector<model::FeaturizedProgram> copies(static_cast<std::size_t>(rows),
+                                               ds.points.front().feats);
+  std::vector<const model::FeaturizedProgram*> ptrs;
+  for (int r = 0; r < rows; ++r) {
+    for (std::vector<float>& v : copies[static_cast<std::size_t>(r)].comp_vectors)
+      v[0] = 0.5f + 0.25f * static_cast<float>(r);
+    ptrs.push_back(&copies[static_cast<std::size_t>(r)]);
+  }
+  const model::Batch batch = model::make_inference_batch(ptrs);
+  Rng rng(1);
+  model::CostModel m(model::ModelConfig::fast(), rng);
+  nn::InferenceArena arena;
+  m.infer_batch(batch, arena);  // warm the arena
+  for (auto _ : state) benchmark::DoNotOptimize(&m.infer_batch(batch, arena));
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_CostModelInferBatchDistinct)->Arg(32);
 
 void BM_TrainingStep(benchmark::State& state) {
   datagen::DatasetBuildOptions opt;

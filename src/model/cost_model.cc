@@ -1,7 +1,7 @@
 #include "model/cost_model.h"
 
 #include <algorithm>
-#include <functional>
+#include <span>
 #include <stdexcept>
 
 namespace tcm::model {
@@ -102,38 +102,94 @@ struct CostModel::Plan {
   nn::PackedLSTMCell comps_lstm, loops_lstm;
 };
 
-const nn::Tensor& CostModel::infer_node(const LoopTreeNode& node,
-                                        const std::vector<const nn::Tensor*>& comp_embeds,
-                                        int batch, const Plan& plan,
-                                        nn::InferenceArena& arena) const {
+// State shared by one deduplicated walk. Computation c of batch row r is
+// embedded in row comp_rows[c * batch + r] of comp_embeds; rows of equal
+// bytes share one embedding.
+struct CostModel::Walk {
+  const Plan& plan;
+  nn::InferenceArena& arena;
+  int batch;
+  const nn::Tensor& comp_embeds;
+  const int* comp_rows;
+};
+
+namespace {
+
+// dst row i = src row keys[reps[i] * stride]: the input of distinct row i,
+// read through the key of the batch row that represents it.
+void gather_rows(const nn::Tensor& src, const int* keys, int stride, const int* reps,
+                 nn::Tensor& dst) {
+  const std::size_t cols = static_cast<std::size_t>(src.cols());
+  for (int i = 0; i < dst.rows(); ++i) {
+    const float* row = src.data() + static_cast<std::size_t>(keys[reps[i] * stride]) * cols;
+    std::copy(row, row + cols, dst.data() + static_cast<std::size_t>(i) * cols);
+  }
+}
+
+}  // namespace
+
+const nn::Tensor& CostModel::infer_node(const LoopTreeNode& node, const Walk& walk,
+                                        int* row_class) const {
+  const int b = walk.batch;
   const int e = config_.embed_size;
+  const int nc = static_cast<int>(node.comps.size());
+  const int k = nc + static_cast<int>(node.children.size());
+  nn::InferenceArena& arena = walk.arena;
+
+  // Key of each batch row: its computations' embedding rows, then its
+  // children's classes. Rows with equal keys have bitwise-equal inputs at
+  // every step below, hence equal outputs.
+  const std::span<int> keys = arena.alloc_ints(static_cast<std::size_t>(b) * k);
+  for (int j = 0; j < nc; ++j) {
+    const int* rows = walk.comp_rows + static_cast<std::size_t>(node.comps[j]) * b;
+    for (int r = 0; r < b; ++r) keys[static_cast<std::size_t>(r) * k + j] = rows[r];
+  }
+  // Child embeddings are stacked on ptr_scratch; each call pops what it pushed.
+  std::vector<const nn::Tensor*>& child_embeds = arena.ptr_scratch();
+  const std::size_t base = child_embeds.size();
+  const std::span<int> child_class = arena.alloc_ints(static_cast<std::size_t>(b));
+  for (int j = nc; j < k; ++j) {
+    child_embeds.push_back(
+        &infer_node(node.children[static_cast<std::size_t>(j - nc)], walk, child_class.data()));
+    for (int r = 0; r < b; ++r) keys[static_cast<std::size_t>(r) * k + j] = child_class[r];
+  }
+  const std::span<int> reps = arena.alloc_ints(static_cast<std::size_t>(b));
+  const int u = nn::row_classes(keys.data(), b, k, row_class, reps.data(),
+                                arena.alloc_ints(nn::row_classes_scratch(b)).data());
+
   // First LSTM: computations nested directly at this level, in order.
-  nn::Tensor& comp_h = arena.alloc(batch, e);
-  nn::Tensor& comp_c = arena.alloc(batch, e);
+  nn::Tensor& comp_h = arena.alloc(u, e);
+  nn::Tensor& comp_c = arena.alloc(u, e);
   comp_h.fill(0.0f);
   comp_c.fill(0.0f);
-  for (int ci : node.comps)
-    plan.comps_lstm.step(*comp_embeds[static_cast<std::size_t>(ci)], comp_h, comp_c, arena);
-
-  // Second LSTM: child loop embeddings, in order.
-  nn::Tensor& loop_h = arena.alloc(batch, e);
-  nn::Tensor& loop_c = arena.alloc(batch, e);
-  loop_h.fill(0.0f);
-  loop_c.fill(0.0f);
-  for (const LoopTreeNode& child : node.children) {
-    const nn::Tensor& child_embed = infer_node(child, comp_embeds, batch, plan, arena);
-    plan.loops_lstm.step(child_embed, loop_h, loop_c, arena);
+  for (int j = 0; j < nc; ++j) {
+    nn::Tensor& x = arena.alloc(u, e);
+    gather_rows(walk.comp_embeds, keys.data() + j, k, reps.data(), x);
+    walk.plan.comps_lstm.step(x, comp_h, comp_c, arena);
   }
 
-  nn::Tensor& merged_in = arena.alloc(batch, 2 * e);
-  for (int r = 0; r < batch; ++r) {
+  // Second LSTM: child loop embeddings, in order.
+  nn::Tensor& loop_h = arena.alloc(u, e);
+  nn::Tensor& loop_c = arena.alloc(u, e);
+  loop_h.fill(0.0f);
+  loop_c.fill(0.0f);
+  for (int j = nc; j < k; ++j) {
+    nn::Tensor& x = arena.alloc(u, e);
+    gather_rows(*child_embeds[base + static_cast<std::size_t>(j - nc)], keys.data() + j, k,
+                reps.data(), x);
+    walk.plan.loops_lstm.step(x, loop_h, loop_c, arena);
+  }
+  child_embeds.resize(base);
+
+  nn::Tensor& merged_in = arena.alloc(u, 2 * e);
+  for (int r = 0; r < u; ++r) {
     float* dst = merged_in.data() + static_cast<std::size_t>(r) * 2 * e;
     std::copy(comp_h.data() + static_cast<std::size_t>(r) * e,
               comp_h.data() + static_cast<std::size_t>(r + 1) * e, dst);
     std::copy(loop_h.data() + static_cast<std::size_t>(r) * e,
               loop_h.data() + static_cast<std::size_t>(r + 1) * e, dst + e);
   }
-  return plan.merge.forward(merged_in, arena);
+  return walk.plan.merge.forward(merged_in, arena);
 }
 
 const nn::Tensor& CostModel::infer_batch(const Batch& batch, nn::InferenceArena& arena) {
@@ -148,13 +204,44 @@ const nn::Tensor& CostModel::infer_batch(const Batch& batch, nn::InferenceArena&
     return p;
   });
   arena.reset();
-  std::vector<const nn::Tensor*>& comp_embeds = arena.ptr_scratch();
-  for (const nn::Tensor& x : batch.comp_inputs)
-    comp_embeds.push_back(&plan.comp_embed.forward(x, arena));
-  const nn::Tensor& program_embedding =
-      infer_node(*batch.tree, comp_embeds, batch.batch_size(), plan, arena);
-  nn::Tensor& out = plan.regression.forward(program_embedding, arena);
-  nn::exp_bounded_inplace(out, config_.exp_head_limit);
+  const int b = batch.batch_size();
+  const int f = config_.features.computation_vector_size();
+  const std::size_t nc = batch.comp_inputs.size();
+
+  // Byte-equality classes of every computation's rows; the distinct rows of
+  // all computations are embedded together in one MLP pass.
+  const std::span<int> comp_rows = arena.alloc_ints(nc * b);
+  const std::span<int> reps = arena.alloc_ints(nc * b);
+  const std::span<int> distinct = arena.alloc_ints(nc);
+  const std::span<int> table = arena.alloc_ints(nn::row_classes_scratch(b));
+  int total = 0;
+  for (std::size_t c = 0; c < nc; ++c) {
+    const nn::Tensor& x = batch.comp_inputs[c];
+    if (x.rows() != b || x.cols() != f)
+      throw std::invalid_argument("CostModel: computation input " + x.shape_string() +
+                                  ", expected [" + std::to_string(b) + ", " +
+                                  std::to_string(f) + "]");
+    int* rows = comp_rows.data() + c * b;
+    distinct[c] = nn::row_classes(x.data(), b, f, rows, reps.data() + c * b, table.data());
+    for (int r = 0; r < b; ++r) rows[r] += total;
+    total += distinct[c];
+  }
+  nn::Tensor& comp_in = arena.alloc(total, f);
+  float* dst = comp_in.data();
+  for (std::size_t c = 0; c < nc; ++c)
+    for (int i = 0; i < distinct[c]; ++i) {
+      const float* src = batch.comp_inputs[c].data() +
+                         static_cast<std::size_t>(reps[c * b + i]) * static_cast<std::size_t>(f);
+      dst = std::copy(src, src + f, dst);
+    }
+  const Walk walk{plan, arena, b, plan.comp_embed.forward(comp_in, arena), comp_rows.data()};
+
+  const std::span<int> root_class = arena.alloc_ints(static_cast<std::size_t>(b));
+  const nn::Tensor& program_embedding = infer_node(*batch.tree, walk, root_class.data());
+  nn::Tensor& head = plan.regression.forward(program_embedding, arena);
+  nn::exp_bounded_inplace(head, config_.exp_head_limit);
+  nn::Tensor& out = arena.alloc(b, 1);
+  for (int r = 0; r < b; ++r) out.data()[r] = head.data()[root_class[r]];
   return out;
 }
 

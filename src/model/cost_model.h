@@ -89,6 +89,13 @@ class SpeedupPredictor {
   // invariant) but is NOT bitwise-identical to the autograd path: the packed
   // LSTM sums gate pre-activations in a different order. Parity is within
   // 1e-5 relative error (asserted by inference_test).
+  //
+  // Deduplication (CostModel): rows are compared by the bytes of their
+  // inputs, never with float ==. Each distinct computation vector is
+  // embedded once, and each loop node runs once per distinct tuple of the
+  // classes below it; results are copied out to every row of the class.
+  // Because rows are computed independently, the output is bitwise
+  // identical to scoring every row alone (a batch of one).
   virtual const nn::Tensor& infer_batch(const Batch& batch, nn::InferenceArena& arena);
 
   // Drops any cached packed-weight plan. Call after mutating parameters
@@ -114,13 +121,15 @@ class CostModel final : public nn::Module, public SpeedupPredictor {
 
  private:
   struct Plan;
+  struct Walk;
 
   nn::Variable embed_node(const LoopTreeNode& node,
                           const std::vector<nn::Variable>& comp_embeds, int batch,
                           bool training, Rng& rng) const;
-  const nn::Tensor& infer_node(const LoopTreeNode& node,
-                               const std::vector<const nn::Tensor*>& comp_embeds, int batch,
-                               const Plan& plan, nn::InferenceArena& arena) const;
+  // Returns the node's distinct embeddings [U, E] and writes each batch
+  // row's class among them (index into those U rows) to row_class[0, B).
+  const nn::Tensor& infer_node(const LoopTreeNode& node, const Walk& walk,
+                               int* row_class) const;
 
   ModelConfig config_;
   std::unique_ptr<nn::MLP> comp_embedding_;

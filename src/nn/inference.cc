@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 namespace tcm::nn {
@@ -225,6 +226,88 @@ Tensor& InferenceArena::alloc(int rows, int cols) {
   if (need > t.capacity()) heap_allocs_.fetch_add(1, std::memory_order_relaxed);
   t.resize(rows, cols);
   return t;
+}
+
+std::span<int> InferenceArena::alloc_ints(std::size_t n) {
+  if (int_cursor_ == int_pool_.size()) {
+    int_pool_.emplace_back(n);
+    heap_allocs_.fetch_add(1, std::memory_order_relaxed);
+    return int_pool_[int_cursor_++];
+  }
+  std::vector<int>& block = int_pool_[int_cursor_++];
+  if (n > block.capacity()) heap_allocs_.fetch_add(1, std::memory_order_relaxed);
+  block.resize(n);
+  return block;
+}
+
+namespace {
+
+// Open-addressing table size for n keys: a power of two at least 2n.
+std::size_t class_table_size(int n) {
+  return std::bit_ceil(2 * static_cast<std::size_t>(std::max(n, 1)));
+}
+
+// Hash of one row's 32-bit words: four interleaved FNV-1a-style lanes (so
+// long rows are not one serial multiply chain), folded and finalized with
+// the murmur3 mixer so the low bits index the table well.
+std::uint32_t hash_row(const unsigned char* row, int words) {
+  std::uint64_t lane[4] = {0xcbf29ce484222325ULL, 0x84222325cbf29ce4ULL, 0x9e3779b97f4a7c15ULL,
+                           0xc2b2ae3d27d4eb4fULL};
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  int i = 0;
+  for (; i + 4 <= words; i += 4)
+    for (int l = 0; l < 4; ++l) {
+      std::uint32_t w;
+      std::memcpy(&w, row + 4 * static_cast<std::size_t>(i + l), 4);
+      lane[l] = (lane[l] ^ w) * kPrime;
+    }
+  for (; i < words; ++i) {
+    std::uint32_t w;
+    std::memcpy(&w, row + 4 * static_cast<std::size_t>(i), 4);
+    lane[0] = (lane[0] ^ w) * kPrime;
+  }
+  std::uint64_t h = lane[0] ^ (lane[1] * 31) ^ (lane[2] * 961) ^ (lane[3] * 29791);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return static_cast<std::uint32_t>(h);
+}
+
+}  // namespace
+
+std::size_t row_classes_scratch(int n) { return 2 * class_table_size(n); }
+
+int row_classes(const void* rows, int n, int words, int* class_of, int* reps, int* scratch) {
+  const std::size_t size = class_table_size(n);
+  const std::size_t mask = size - 1;
+  int* slot_class = scratch;        // class in the slot, -1 when empty
+  int* slot_hash = scratch + size;  // that class's row hash
+  std::fill(slot_class, slot_class + size, -1);
+  const auto* bytes = static_cast<const unsigned char*>(rows);
+  const std::size_t row_bytes = 4 * static_cast<std::size_t>(words);
+  int classes = 0;
+  for (int r = 0; r < n; ++r) {
+    const unsigned char* row = bytes + static_cast<std::size_t>(r) * row_bytes;
+    const auto h = static_cast<int>(hash_row(row, words));
+    for (std::size_t s = static_cast<std::uint32_t>(h) & mask;; s = (s + 1) & mask) {
+      const int u = slot_class[s];
+      if (u < 0) {
+        slot_class[s] = classes;
+        slot_hash[s] = h;
+        reps[classes] = r;
+        class_of[r] = classes++;
+        break;
+      }
+      const unsigned char* rep = bytes + static_cast<std::size_t>(reps[u]) * row_bytes;
+      if (slot_hash[s] == h && (row_bytes == 0 || std::memcmp(rep, row, row_bytes) == 0)) {
+        class_of[r] = u;
+        break;
+      }
+    }
+  }
+  return classes;
 }
 
 void linear_forward(const Tensor& x, const Tensor& w, const Tensor& b, Tensor& out) {

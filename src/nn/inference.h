@@ -37,6 +37,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "nn/modules.h"
@@ -56,10 +57,16 @@ class InferenceArena {
   // never relocate earlier buffers.
   Tensor& alloc(int rows, int cols);
 
+  // The integer counterpart of alloc(): the next block of n ints from a
+  // second pool (contents unspecified), valid until reset(). Growth counts
+  // toward heap_allocations() like tensor growth does.
+  std::span<int> alloc_ints(std::size_t n);
+
   // Makes every buffer reusable again. Invalidates the *contents* of
   // previously returned references (the memory stays alive).
   void reset() {
     cursor_ = 0;
+    int_cursor_ = 0;
     ptr_scratch_.clear();
     index_scratch_.clear();
   }
@@ -74,7 +81,7 @@ class InferenceArena {
 
   std::size_t buffers() const { return pool_.size(); }
 
-  // Reusable non-tensor scratch for model walks (comp-embedding pointers,
+  // Reusable non-tensor scratch for model walks (child-embedding pointers,
   // tree-order indices). Cleared by reset(); capacity persists, so these
   // also stop allocating once warm.
   std::vector<const Tensor*>& ptr_scratch() { return ptr_scratch_; }
@@ -83,10 +90,23 @@ class InferenceArena {
  private:
   std::deque<Tensor> pool_;  // deque: references stay valid as the pool grows
   std::size_t cursor_ = 0;
+  std::deque<std::vector<int>> int_pool_;
+  std::size_t int_cursor_ = 0;
   std::atomic<std::uint64_t> heap_allocs_{0};
   std::vector<const Tensor*> ptr_scratch_;
   std::vector<int> index_scratch_;
 };
+
+// Byte-equality classes of the n rows of a row-major matrix of 4-byte words
+// (floats or ints, `words` per row). Rows share a class exactly when their
+// bytes are equal, so -0.0 and 0.0, or NaNs with different payloads, are
+// different classes (float == would merge the former and split every NaN).
+// Writes class_of[r] for every row (dense ids in order of first appearance)
+// and reps[u], the first row of class u; returns the number of classes.
+// `scratch` must hold row_classes_scratch(n) ints. Rows are bucketed by a
+// hash of their words and confirmed with memcmp.
+int row_classes(const void* rows, int n, int words, int* class_of, int* reps, int* scratch);
+std::size_t row_classes_scratch(int n);
 
 // out = x @ w + b with x [B, In], w [In, N], b [1, N] broadcast over rows.
 // `out` must be pre-shaped to [B, N] (arena-allocated). Accumulates over the

@@ -2,19 +2,25 @@
 // arena reuse and the zero-allocation steady state, fused-kernel
 // correctness, autograd-vs-inference numerical parity for all three
 // architectures over randomized program structures, plan invalidation after
-// parameter mutation, and concurrent infer_batch on one model.
+// parameter mutation, concurrent infer_batch on one model, and the
+// byte-equality row classes behind CostModel's deduplicated walk, checked
+// bitwise against batch-of-1 scoring on beam-search bursts.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "datagen/dataset_builder.h"
+#include "datagen/generator.h"
 #include "model/cost_model.h"
 #include "model/train.h"
 #include "nn/inference.h"
 #include "nn/ops.h"
+#include "search/beam_search.h"
 
 namespace tcm::nn {
 namespace {
@@ -66,6 +72,68 @@ TEST(InferenceArena, LaterAllocsDoNotInvalidateEarlierBuffers) {
   first.fill(7.0f);
   for (int i = 0; i < 100; ++i) arena.alloc(16, 16);
   EXPECT_EQ(first.at(1, 1), 7.0f);  // deque pool: no relocation
+}
+
+TEST(InferenceArena, IntBlocksAreCountedAndReused) {
+  InferenceArena arena;
+  arena.alloc_ints(10);
+  arena.alloc_ints(20);
+  EXPECT_EQ(arena.heap_allocations(), 2u);
+  arena.reset();
+  EXPECT_EQ(arena.alloc_ints(8).size(), 8u);
+  arena.alloc_ints(20);
+  EXPECT_EQ(arena.heap_allocations(), 2u);
+  arena.reset();
+  arena.alloc_ints(11);  // larger than the first slot's capacity
+  EXPECT_EQ(arena.heap_allocations(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// row_classes
+// ---------------------------------------------------------------------------
+
+TEST(RowClasses, ByteEqualityNotFloatEquality) {
+  const float nan_a = std::bit_cast<float>(0x7fc00001u);
+  const float nan_b = std::bit_cast<float>(0x7fc00002u);
+  // Rows of two floats: 0.0 and -0.0 compare equal as floats, NaNs never do.
+  const float rows[] = {0.0f, 1.0f, -0.0f, 1.0f, nan_a, 2.0f,
+                        nan_b, 2.0f, 0.0f, 1.0f, nan_a, 2.0f};
+  int class_of[6], reps[6];
+  std::vector<int> scratch(row_classes_scratch(6));
+  ASSERT_EQ(row_classes(rows, 6, 2, class_of, reps, scratch.data()), 4);
+  EXPECT_EQ(std::vector<int>(class_of, class_of + 6), (std::vector<int>{0, 1, 2, 3, 0, 2}));
+  EXPECT_EQ(std::vector<int>(reps, reps + 4), (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(RowClasses, MatchesPairwiseMemcmpOnManyRows) {
+  // 300 int rows drawn from 23 patterns: enough rows for long probe chains.
+  const int n = 300, words = 3;
+  Rng rng(5);
+  std::vector<int> keys(static_cast<std::size_t>(n) * words);
+  for (int r = 0; r < n; ++r) {
+    const int pattern = static_cast<int>(rng.uniform_int(0, 22));
+    for (int w = 0; w < words; ++w)
+      keys[static_cast<std::size_t>(r) * words + w] = pattern * (w + 7);
+  }
+  std::vector<int> class_of(n), reps(n), scratch(row_classes_scratch(n));
+  const int u = row_classes(keys.data(), n, words, class_of.data(), reps.data(), scratch.data());
+  EXPECT_LE(u, 23);
+  for (int a = 0; a < n; ++a) {
+    EXPECT_LE(reps[static_cast<std::size_t>(class_of[a])], a);
+    for (int b = 0; b < a; ++b) {
+      const bool same = std::memcmp(&keys[static_cast<std::size_t>(a) * words],
+                                    &keys[static_cast<std::size_t>(b) * words],
+                                    words * sizeof(int)) == 0;
+      EXPECT_EQ(class_of[a] == class_of[b], same) << a << " vs " << b;
+    }
+  }
+}
+
+TEST(RowClasses, ZeroWidthRowsAreOneClass) {
+  int class_of[3], reps[3];
+  std::vector<int> scratch(row_classes_scratch(3));
+  EXPECT_EQ(row_classes(nullptr, 3, 0, class_of, reps, scratch.data()), 1);
+  EXPECT_EQ(std::vector<int>(class_of, class_of + 3), (std::vector<int>{0, 0, 0}));
 }
 
 // ---------------------------------------------------------------------------
@@ -222,12 +290,136 @@ TEST(InferenceParity, FeedForwardRejectsOversizedBatchOnFastPath) {
   EXPECT_TRUE(found_multi);
 }
 
+// Copies of `f` whose computation vectors differ from every other copy's.
+std::vector<FeaturizedProgram> perturbed_copies(const FeaturizedProgram& f, int n) {
+  std::vector<FeaturizedProgram> copies(static_cast<std::size_t>(n), f);
+  for (int r = 0; r < n; ++r)
+    for (std::vector<float>& v : copies[static_cast<std::size_t>(r)].comp_vectors)
+      v[0] = 0.5f + 0.25f * static_cast<float>(r);
+  return copies;
+}
+
+// Rows of one structure whose batch score differs, in any bit, from
+// scoring the row alone in a batch of one.
+int rows_differing_from_alone(CostModel& m, const std::vector<const FeaturizedProgram*>& rows) {
+  nn::InferenceArena arena;
+  const nn::Tensor& out = m.infer_batch(make_inference_batch(rows), arena);
+  const std::vector<float> together(out.data(), out.data() + out.size());
+  int differ = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const float alone = m.infer_batch(make_inference_batch({rows[r]}), arena).at(0, 0);
+    if (std::bit_cast<std::uint32_t>(alone) != std::bit_cast<std::uint32_t>(together[r])) ++differ;
+  }
+  return differ;
+}
+
+// Scores every beam-search burst the way the serving tier batches it (one
+// batch per tree structure) and checks each batch against batch-of-1 scoring.
+class BurstCheckingEvaluator final : public search::CandidateEvaluator {
+ public:
+  explicit BurstCheckingEvaluator(CostModel& m) : model_(m) {}
+
+  std::vector<double> evaluate(const ir::Program& p,
+                               const std::vector<transforms::Schedule>& candidates) override {
+    std::vector<FeaturizedProgram> feats;
+    std::vector<std::size_t> index;  // candidate of each featurized row
+    for (std::size_t i = 0; i < candidates.size(); ++i)
+      if (auto f = featurize(p, candidates[i], model_.config().features)) {
+        feats.push_back(std::move(*f));
+        index.push_back(i);
+      }
+    std::vector<double> scores(candidates.size(), 0.0);
+    std::vector<bool> done(feats.size(), false);
+    for (std::size_t i = 0; i < feats.size(); ++i) {
+      if (done[i]) continue;
+      std::vector<const FeaturizedProgram*> rows;
+      std::vector<std::size_t> members;
+      for (std::size_t j = i; j < feats.size(); ++j)
+        if (!done[j] && feats[j].same_structure(feats[i])) {
+          done[j] = true;
+          rows.push_back(&feats[j]);
+          members.push_back(j);
+        }
+      const Batch batch = make_inference_batch(rows);
+      const nn::Tensor& out = model_.infer_batch(batch, arena_);
+      for (std::size_t r = 0; r < members.size(); ++r)
+        scores[index[members[r]]] = static_cast<double>(out.at(static_cast<int>(r), 0));
+      for (const nn::Tensor& x : batch.comp_inputs) {
+        std::vector<int> class_of(rows.size()), reps(rows.size()),
+            scratch(nn::row_classes_scratch(x.rows()));
+        if (nn::row_classes(x.data(), x.rows(), x.cols(), class_of.data(), reps.data(),
+                            scratch.data()) < x.rows()) {
+          ++batches_with_duplicates;
+          break;
+        }
+      }
+      mismatches += rows_differing_from_alone(model_, rows);
+      rows_checked += static_cast<int>(rows.size());
+    }
+    evaluations_ += static_cast<std::int64_t>(candidates.size());
+    return scores;
+  }
+  double accounted_seconds() const override { return 0; }
+  std::int64_t evaluations() const override { return evaluations_; }
+  const char* kind() const override { return "burst-check"; }
+
+  int rows_checked = 0;
+  int mismatches = 0;
+  int batches_with_duplicates = 0;
+
+ private:
+  CostModel& model_;
+  nn::InferenceArena arena_;
+  std::int64_t evaluations_ = 0;
+};
+
+// The deduplicated walk on real search traffic: every burst beam search
+// sends for three generated programs scores bitwise-equal to batch-of-1.
+TEST(InferenceDedup, BeamSearchBurstsMatchBatchOfOneBitwise) {
+  Rng rng(3);
+  CostModel m(ModelConfig::fast(), rng);
+  BurstCheckingEvaluator eval(m);
+  const datagen::RandomProgramGenerator gen;
+  int programs = 0;
+  for (std::uint64_t seed = 1; programs < 3; ++seed) {
+    const ir::Program p = gen.generate(seed);
+    if (p.comps.empty()) continue;
+    ++programs;
+    search::beam_search(p, eval, {});
+  }
+  EXPECT_GT(eval.rows_checked, 100);
+  EXPECT_GT(eval.batches_with_duplicates, 0);
+  EXPECT_EQ(eval.mismatches, 0);
+}
+
+TEST(InferenceDedup, IdenticalAndAllDistinctRowsMatchBatchOfOneBitwise) {
+  const Dataset ds = structured_dataset(2, 2);
+  Rng rng(4);
+  CostModel m(ModelConfig::fast(), rng);
+  for (const DataPoint& point : ds.points) {
+    const std::vector<const FeaturizedProgram*> identical(16, &point.feats);
+    EXPECT_EQ(rows_differing_from_alone(m, identical), 0);
+    const std::vector<FeaturizedProgram> copies = perturbed_copies(point.feats, 16);
+    std::vector<const FeaturizedProgram*> distinct;
+    for (const FeaturizedProgram& f : copies) distinct.push_back(&f);
+    EXPECT_EQ(rows_differing_from_alone(m, distinct), 0);
+  }
+}
+
 // The acceptance bar: steady-state infer_batch performs zero heap
 // allocations, asserted via the arena allocation counter — including when
-// differently-shaped structures alternate through one arena.
+// differently-shaped structures, duplicate-heavy and all-distinct batches
+// alternate through one arena.
 TEST(InferenceArenaSteadyState, ZeroAllocationsOnceWarm) {
   const Dataset ds = structured_dataset(5, 6);
-  const auto batches = make_batches(ds, 8);
+  std::vector<Batch> batches = make_batches(ds, 8);
+  const FeaturizedProgram& f = ds.points.front().feats;
+  const std::vector<FeaturizedProgram> copies = perturbed_copies(f, 12);
+  std::vector<const FeaturizedProgram*> distinct, duplicates;
+  for (const FeaturizedProgram& c : copies) distinct.push_back(&c);
+  for (int r = 0; r < 24; ++r) duplicates.push_back(r % 5 == 0 ? &copies[1] : &f);
+  batches.push_back(make_inference_batch(distinct));
+  batches.push_back(make_inference_batch(duplicates));
   Rng rng(1);
   CostModel m(ModelConfig::fast(), rng);
   nn::InferenceArena arena;
