@@ -16,6 +16,7 @@
 #include "api/json.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
+#include "support/clock.h"
 #include "support/failpoint.h"
 #include "support/log.h"
 
@@ -526,15 +527,14 @@ void HttpServer::serve_connection(int fd, obs::Watchdog::Handle heartbeat) {
     obs::TraceContext trace_ctx(trace_id);  // handlers inherit via thread-local
     if (trace_id != 0) obs::Tracer::instance().set_label(trace_id, request_id);
 
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = support::now();
     std::size_t route_index = routes_.size() + prefix_routes_.size();
     HttpResponse response;
     {
       obs::ScopedSpan span("http.request", trace_id);
       response = dispatch(request, route_index);
     }
-    const double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                               .count();
+    const double elapsed = support::seconds_since(start);
     request_duration_->observe(elapsed);
     count_request(route_index, response.status);
     if (response.status >= 500) {

@@ -1,5 +1,6 @@
 #include "api/rest.h"
 
+#include <charconv>
 #include <chrono>
 #include <limits>
 #include <string>
@@ -10,6 +11,7 @@
 #include "obs/event_log.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
+#include "support/clock.h"
 
 namespace tcm::api {
 
@@ -25,20 +27,26 @@ Result<Json> parse_body(const HttpRequest& request) {
   return Json::parse(request.body);
 }
 
-// Strict integer parse (optional sign, digits only); the header variant of
-// "reject, don't guess".
-bool parse_int_strict(const std::string& s, long long* out) {
-  if (s.empty()) return false;
-  std::size_t i = s[0] == '-' || s[0] == '+' ? 1 : 0;
-  if (i == s.size()) return false;
-  long long v = 0;
-  for (; i < s.size(); ++i) {
-    if (s[i] < '0' || s[i] > '9') return false;
-    if (v > (std::numeric_limits<long long>::max() - 9) / 10) return false;
-    v = v * 10 + (s[i] - '0');
-  }
-  *out = s[0] == '-' ? -v : v;
-  return true;
+// X-Deadline-Ms: the client's remaining latency budget, relative because
+// clocks differ across hosts. Converted on arrival to an absolute deadline on
+// the process clock; a non-positive budget is already expired and sheds with
+// 504, and a budget the clock cannot represent is rejected with 400.
+Status read_deadline_header(const HttpRequest& request, serve::RequestDeadline* deadline) {
+  const std::string* budget = request.header("X-Deadline-Ms");
+  if (budget == nullptr) return Status();
+  long long ms = 0;  // strict: optional '-', digits only, no overflow
+  const char* end = budget->data() + budget->size();
+  if (const auto [ptr, ec] = std::from_chars(budget->data(), end, ms);
+      ec != std::errc() || ptr != end)
+    return Status::invalid_argument("X-Deadline-Ms: integer milliseconds required");
+  using Ticks = serve::RequestDeadline::duration;
+  constexpr Ticks::rep kPerMs = Ticks(std::chrono::milliseconds(1)).count();
+  Ticks::rep ticks = 0, at = 0;
+  if (__builtin_mul_overflow(ms, kPerMs, &ticks) ||
+      __builtin_add_overflow(support::now().time_since_epoch().count(), ticks, &at))
+    return Status::invalid_argument("X-Deadline-Ms: budget out of range");
+  *deadline = serve::RequestDeadline(Ticks(at));
+  return Status();
 }
 
 }  // namespace
@@ -166,17 +174,8 @@ void bind_routes(HttpServer& server, Service& service) {
     if (!body.ok()) return error_response(body.status());
     Result<PredictRequest> decoded = predict_request_from_json(*body);
     if (!decoded.ok()) return error_response(decoded.status());
-    // X-Deadline-Ms: the client's remaining latency budget, relative because
-    // clocks differ across hosts. Converted to an absolute serving-clock
-    // deadline on arrival; a non-positive budget is already expired and
-    // sheds at submit with 504.
-    if (const std::string* budget = request.header("X-Deadline-Ms")) {
-      long long ms = 0;
-      if (!parse_int_strict(*budget, &ms))
-        return error_response(
-            Status::invalid_argument("X-Deadline-Ms: integer milliseconds required"));
-      decoded->deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-    }
+    if (Status st = read_deadline_header(request, &decoded->deadline); !st.ok())
+      return error_response(st);
     Result<PredictResponse> response = svc->predict(*decoded);
     if (!response.ok()) {
       HttpResponse http = error_response(response.status());
@@ -194,15 +193,9 @@ void bind_routes(HttpServer& server, Service& service) {
     if (!body.ok()) return error_response(body.status());
     Result<SearchRequest> decoded = search_request_from_json(*body);
     if (!decoded.ok()) return error_response(decoded.status());
-    // Same relative-budget header as /v1/predict; here it bounds the whole
-    // job (queue wait + search), not one inference.
-    if (const std::string* budget = request.header("X-Deadline-Ms")) {
-      long long ms = 0;
-      if (!parse_int_strict(*budget, &ms))
-        return error_response(
-            Status::invalid_argument("X-Deadline-Ms: integer milliseconds required"));
-      decoded->deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-    }
+    // Here the budget bounds the whole job (queue wait + search).
+    if (Status st = read_deadline_header(request, &decoded->deadline); !st.ok())
+      return error_response(st);
     Result<jobs::SearchJobInfo> submitted = svc->submit_search(*decoded);
     if (!submitted.ok()) {
       HttpResponse http = error_response(submitted.status());

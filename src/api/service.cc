@@ -11,6 +11,7 @@
 #include "obs/event_log.h"
 #include "obs/process.h"
 #include "obs/trace.h"
+#include "support/clock.h"
 #include "support/failpoint.h"
 #include "support/log.h"
 
@@ -26,7 +27,7 @@ constexpr int kFeedbackFormatVersion = 1;
 }  // namespace
 
 Service::Service(ServiceOptions options)
-    : options_(std::move(options)), started_(std::chrono::steady_clock::now()) {}
+    : options_(std::move(options)), started_(support::now()) {}
 
 Service::~Service() { shutdown(); }
 
@@ -317,8 +318,7 @@ StatsSnapshot Service::stats() const {
   snap.serve = service_->stats();
   snap.active_version = snap.serve.active_version;
   snap.previous_version = registry_->previous_version();
-  snap.uptime_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started_).count();
+  snap.uptime_seconds = support::seconds_since(started_);
   if (scheduler_) {
     snap.autopilot.enabled = true;
     snap.autopilot.polls = scheduler_->polls();
@@ -358,9 +358,7 @@ Json drift_signal_json(const serve::DriftSignal& s) {
 Json Service::debug_state() const {
   Json state = Json::object();
   state.set("shut_down", Json(shut_down_.load(std::memory_order_acquire)));
-  state.set("uptime_seconds",
-            Json(std::chrono::duration<double>(std::chrono::steady_clock::now() - started_)
-                     .count()));
+  state.set("uptime_seconds", Json(support::seconds_since(started_)));
 
   // Registry: every version plus the ACTIVE fine-tune lineage. list() reads
   // disk and can throw (e.g. registry root deleted under us) — a debug

@@ -213,7 +213,7 @@ class Service {
   std::unique_ptr<jobs::SearchJobManager> search_jobs_;  // null when disabled
   std::unique_ptr<registry::ContinualTrainer> trainer_;
   std::unique_ptr<registry::ContinualScheduler> scheduler_;
-  std::chrono::steady_clock::time_point started_;
+  support::TimePoint started_;
 
   mutable std::mutex admin_mu_;  // promote/rollback/quiesce/shutdown
   std::atomic<bool> shut_down_{false};

@@ -74,7 +74,7 @@ struct PredictRequest {
   // Absolute deadline for the whole request; expired work is shed with
   // DEADLINE_EXCEEDED instead of served late. Not part of the JSON encoding:
   // HTTP callers send a *relative* X-Deadline-Ms header (an absolute
-  // steady_clock point is meaningless across processes) which rest.cc
+  // process-clock point is meaningless across processes) which rest.cc
   // converts on arrival; in-process callers set this directly.
   serve::RequestDeadline deadline = serve::kNoDeadline;
 };

@@ -1,11 +1,11 @@
 #include "baselines/halide_model.h"
 
-#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 #include "nn/ops.h"
+#include "support/clock.h"
 #include "support/log.h"
 
 namespace tcm::baselines {
@@ -118,7 +118,7 @@ HalideEvaluator::HalideEvaluator(HalideCostModel* model, sim::MachineSpec spec)
 
 std::vector<double> HalideEvaluator::evaluate(
     const ir::Program& p, const std::vector<transforms::Schedule>& candidates) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = support::now();
   const double base = model_->predict_seconds(p, spec_);
   std::vector<double> speedups;
   speedups.reserve(candidates.size());
@@ -127,8 +127,7 @@ std::vector<double> HalideEvaluator::evaluate(
     speedups.push_back(base / model_->predict_seconds(transformed, spec_));
     ++evaluations_;
   }
-  accounted_seconds_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  accounted_seconds_ += support::seconds_since(t0);
   return speedups;
 }
 

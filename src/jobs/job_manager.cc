@@ -9,6 +9,7 @@
 #include "serve/errors.h"
 #include "serve/fingerprint.h"
 #include "sim/executor.h"
+#include "support/clock.h"
 #include "support/log.h"
 
 namespace tcm::jobs {
@@ -73,10 +74,6 @@ SearchJobManager::SearchJobManager(serve::PredictionService& service,
 
 SearchJobManager::~SearchJobManager() { stop(); }
 
-std::chrono::steady_clock::time_point SearchJobManager::now() const {
-  return options_.now_fn ? options_.now_fn() : std::chrono::steady_clock::now();
-}
-
 std::string SearchJobManager::submit(SearchJobRequest request) {
   if (request.beam_width < 1) throw std::invalid_argument("beam_width must be >= 1");
   if (request.mcts_iterations < 1) throw std::invalid_argument("iterations must be >= 1");
@@ -89,8 +86,8 @@ std::string SearchJobManager::submit(SearchJobRequest request) {
   job->info.program_fingerprint = fp;
   job->deadline = job->request.deadline;
   if (job->deadline == serve::kNoDeadline && options_.default_deadline.count() > 0)
-    job->deadline = now() + options_.default_deadline;
-  job->enqueued_at = now();
+    job->deadline = support::now() + options_.default_deadline;
+  job->enqueued_at = support::now();
 
   // Memory short-circuit: a program we already autoscheduled is answered
   // instantly — the job is born DONE and never touches the queue.
@@ -110,7 +107,7 @@ std::string SearchJobManager::submit(SearchJobRequest request) {
     if (!hit.has_value() && admission_ && admission_->enabled()) {
       std::chrono::nanoseconds oldest_age{0};
       if (!queue_.empty())
-        oldest_age = now() - queue_.front()->enqueued_at;
+        oldest_age = support::now() - queue_.front()->enqueued_at;
       const serve::AdmissionController::Decision d = admission_->admit(queue_.size(), oldest_age);
       if (!d.admit)
         throw serve::AdmissionRejectedError("search queue over capacity (" +
@@ -210,7 +207,8 @@ SearchJobManager::EventBatch SearchJobManager::events_since(
     return job->info.state == JobState::kDone || job->info.state == JobState::kFailed ||
            job->info.state == JobState::kCancelled;
   };
-  job->cv.wait_for(lock, wait, [&] { return job->events.size() > cursor || terminal(); });
+  support::wait_until(job->cv, lock, support::now() + wait,
+                      [&] { return job->events.size() > cursor || terminal(); });
   for (std::size_t i = cursor; i < job->events.size(); ++i) batch.lines.push_back(job->events[i]);
   batch.done = terminal() && cursor + batch.lines.size() >= job->events.size();
   return batch;
@@ -287,7 +285,7 @@ void SearchJobManager::run_job(Job& job, obs::Watchdog::Handle heartbeat) {
     finish(job, JobState::kCancelled, "");
     return;
   }
-  if (now() >= job.deadline) {
+  if (support::now() >= job.deadline) {
     finish(job, JobState::kFailed, "DEADLINE_EXCEEDED: job deadline expired while queued");
     return;
   }
@@ -308,7 +306,7 @@ void SearchJobManager::run_job(Job& job, obs::Watchdog::Handle heartbeat) {
   auto arm_eval_deadline = [&] {
     serve::RequestDeadline d = job.deadline;
     if (options_.eval_budget.count() > 0) {
-      const serve::RequestDeadline slice = now() + options_.eval_budget;
+      const serve::RequestDeadline slice = support::now() + options_.eval_budget;
       if (slice < d) d = slice;
     }
     evaluator.set_deadline(d);
@@ -327,11 +325,11 @@ void SearchJobManager::run_job(Job& job, obs::Watchdog::Handle heartbeat) {
         job.info.best_speedup = progress.best_score;
         job.info.best_schedule = *progress.best_schedule;
       }
-      job.info.wall_seconds = std::chrono::duration<double>(now() - job.enqueued_at).count();
+      job.info.wall_seconds = support::seconds_since(job.enqueued_at);
     }
     emit_event(job);
     if (job.cancel.load(std::memory_order_relaxed)) return false;
-    if (now() >= job.deadline)
+    if (support::now() >= job.deadline)
       throw serve::DeadlineExceededError("search job deadline exceeded mid-search");
     arm_eval_deadline();
     return true;
@@ -432,7 +430,7 @@ void SearchJobManager::finish(Job& job, JobState state, const std::string& error
       return;
     job.info.state = state;
     job.info.error = error;
-    wall = std::chrono::duration<double>(now() - job.enqueued_at).count();
+    wall = support::seconds_since(job.enqueued_at);
     job.info.wall_seconds = wall;
   }
   switch (state) {

@@ -30,7 +30,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -66,12 +65,6 @@ struct SearchJobManagerOptions {
   // registry skips instrument registration.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   std::shared_ptr<obs::Watchdog> watchdog;
-  // Test hook; null means steady_clock. Every clock read of the manager
-  // goes through it: deadlines, queue age and wall_seconds. The scoring
-  // deadlines armed from it reach serve::PredictionService, which reads the
-  // real steady_clock, so an injected clock must return steady_clock time
-  // points and must never run behind it.
-  std::function<std::chrono::steady_clock::time_point()> now_fn;
 };
 
 struct SearchJobStats {
@@ -135,10 +128,9 @@ class SearchJobManager {
     std::atomic<bool> cancel{false};
     serve::RequestDeadline deadline = serve::kNoDeadline;
     SearchJobRequest request;
-    std::chrono::steady_clock::time_point enqueued_at;
+    support::TimePoint enqueued_at;
   };
 
-  std::chrono::steady_clock::time_point now() const;
   void worker_loop(int index);
   void run_job(Job& job, obs::Watchdog::Handle heartbeat);
   void finish(Job& job, JobState state, const std::string& error);

@@ -29,23 +29,6 @@ void append_comps_in_tree_order(const LoopTreeNode& root, std::vector<int>& orde
 }
 
 // ---------------------------------------------------------------------------
-// SpeedupPredictor: default tape-free fallback
-// ---------------------------------------------------------------------------
-
-const nn::Tensor& SpeedupPredictor::infer_batch(const Batch& batch, nn::InferenceArena& arena) {
-  // Compatibility path for predictors without a fused implementation: run
-  // the autograd forward (inference draws nothing from the Rng) and copy the
-  // result into the arena so the lifetime contract matches the fast path.
-  Rng rng(0);
-  const nn::Variable pred = forward_batch(batch, /*training=*/false, rng);
-  arena.reset();
-  nn::Tensor& out = arena.alloc(pred.rows(), pred.cols());
-  const nn::Tensor& value = pred.value();
-  std::copy(value.data(), value.data() + value.size(), out.data());
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // CostModel
 // ---------------------------------------------------------------------------
 

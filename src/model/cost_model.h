@@ -59,7 +59,7 @@ struct ModelConfig {
 
 // Common interface for everything that predicts a batch of speedups; lets
 // the trainer, the evaluator, the search and the serving subsystem treat all
-// three architectures (and the Halide baseline) uniformly.
+// three architectures uniformly.
 class SpeedupPredictor {
  public:
   virtual ~SpeedupPredictor() = default;
@@ -76,9 +76,8 @@ class SpeedupPredictor {
   virtual nn::Variable forward_batch(const Batch& batch, bool training, Rng& rng) = 0;
 
   // Tape-free inference fast path: predictions [B, 1] without constructing
-  // any autograd graph. The base implementation falls back to forward_batch
-  // (correct but slow); the three architectures override it with fused,
-  // allocation-free walks. The returned reference points into `arena` and is
+  // any autograd graph; each architecture implements it as a fused,
+  // allocation-free walk. The returned reference points into `arena` and is
   // valid until the arena's next alloc()/reset() — the call itself resets
   // the arena first, so back-to-back calls on one arena just reuse buffers.
   //
@@ -96,7 +95,7 @@ class SpeedupPredictor {
   // classes below it; results are copied out to every row of the class.
   // Because rows are computed independently, the output is bitwise
   // identical to scoring every row alone (a batch of one).
-  virtual const nn::Tensor& infer_batch(const Batch& batch, nn::InferenceArena& arena);
+  virtual const nn::Tensor& infer_batch(const Batch& batch, nn::InferenceArena& arena) = 0;
 
   // Drops any cached packed-weight plan. Call after mutating parameters
   // (an optimizer step, load_parameters) and before the next infer_batch;

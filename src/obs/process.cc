@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -12,15 +11,14 @@
 #endif
 
 #include "obs/metrics.h"
+#include "support/clock.h"
 
 namespace tcm::obs {
 
 namespace {
 
-std::chrono::steady_clock::time_point process_start() {
-  static const auto start = std::chrono::steady_clock::now();
-  return start;
-}
+// Read at static initialization, before any test can replace the clock.
+const support::TimePoint g_process_start = support::now();
 
 #ifdef __linux__
 std::uint64_t count_open_fds() {
@@ -38,8 +36,7 @@ std::uint64_t count_open_fds() {
 
 ProcessStats read_process_stats() {
   ProcessStats s;
-  s.uptime_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - process_start()).count();
+  s.uptime_seconds = support::seconds_since(g_process_start);
 #ifdef __linux__
   // /proc/self/status has kB-denominated VmRSS/VmSize and the thread count;
   // one short sequential read per scrape.
@@ -63,7 +60,6 @@ ProcessStats read_process_stats() {
 }
 
 void register_process_metrics(MetricsRegistry& registry) {
-  process_start();  // pin the uptime epoch to registration time at the latest
   registry.gauge_callback("tcm_process_resident_memory_bytes", "Resident set size (VmRSS).", "",
                           [] { return static_cast<double>(read_process_stats().resident_bytes); });
   registry.gauge_callback("tcm_process_virtual_memory_bytes", "Virtual memory size (VmSize).", "",

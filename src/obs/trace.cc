@@ -1,9 +1,10 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
+
+#include "support/clock.h"
 
 namespace tcm::obs {
 
@@ -179,11 +180,7 @@ void Tracer::clear() {
   labels_.clear();
 }
 
-std::uint64_t Tracer::now_ns() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
-}
+std::uint64_t Tracer::now_ns() { return support::to_ns(support::now()); }
 
 std::uint64_t current_trace_id() { return t_current_trace_id; }
 

@@ -2,17 +2,9 @@
 
 #include <cstdio>
 
+#include "support/clock.h"
+
 namespace tcm::obs {
-
-Watchdog::Watchdog(NowFn now) : now_(now) {}
-
-std::uint64_t Watchdog::now_ns() const {
-  if (now_ != nullptr) return now_();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 Watchdog::Handle Watchdog::register_thread(std::string name,
                                            std::chrono::milliseconds stall_after, bool critical) {
@@ -22,7 +14,7 @@ Watchdog::Handle Watchdog::register_thread(std::string name,
   e.stall_after_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(stall_after).count());
   e.critical = critical;
-  e.last_beat_ns.store(now_ns(), std::memory_order_relaxed);
+  e.last_beat_ns.store(support::to_ns(support::now()), std::memory_order_relaxed);
   return Handle{&e};
 }
 
@@ -33,7 +25,8 @@ void Watchdog::unregister(Handle h) {
 
 void Watchdog::beat(Handle h) {
   if (!h.valid()) return;
-  static_cast<Entry*>(h.slot)->last_beat_ns.store(now_ns(), std::memory_order_relaxed);
+  static_cast<Entry*>(h.slot)->last_beat_ns.store(support::to_ns(support::now()),
+                                                  std::memory_order_relaxed);
 }
 
 void Watchdog::set_busy(Handle h, const char* activity) {
@@ -41,14 +34,14 @@ void Watchdog::set_busy(Handle h, const char* activity) {
   Entry& e = *static_cast<Entry*>(h.slot);
   e.activity.store(activity, std::memory_order_relaxed);
   e.idle.store(false, std::memory_order_relaxed);
-  e.last_beat_ns.store(now_ns(), std::memory_order_relaxed);
+  e.last_beat_ns.store(support::to_ns(support::now()), std::memory_order_relaxed);
 }
 
 void Watchdog::set_idle(Handle h) {
   if (!h.valid()) return;
   Entry& e = *static_cast<Entry*>(h.slot);
   e.idle.store(true, std::memory_order_relaxed);
-  e.last_beat_ns.store(now_ns(), std::memory_order_relaxed);
+  e.last_beat_ns.store(support::to_ns(support::now()), std::memory_order_relaxed);
 }
 
 const char* Watchdog::health_name(Health h) {
@@ -63,7 +56,7 @@ const char* Watchdog::health_name(Health h) {
 Watchdog::Report Watchdog::report() const {
   std::lock_guard<std::mutex> lock(mu_);
   Report r;
-  const std::uint64_t now = now_ns();
+  const std::uint64_t now = support::to_ns(support::now());
   for (const Entry& e : entries_) {
     if (!e.active.load(std::memory_order_relaxed)) continue;
     ThreadReport t;

@@ -18,8 +18,8 @@
 //               /healthz turns 503 with the per-thread reason
 //
 // beat()/set_busy()/set_idle() are wait-free (relaxed atomic stores) so they
-// can sit on per-batch and per-request paths. The clock is injectable so
-// tests drive stall detection deterministically without sleeping.
+// can sit on per-batch and per-request paths. Heartbeat ages are read off the
+// process clock (support/clock.h).
 #pragma once
 
 #include <atomic>
@@ -34,11 +34,6 @@ namespace tcm::obs {
 
 class Watchdog {
  public:
-  // Steady nanoseconds; injectable for tests (nullptr = steady_clock).
-  using NowFn = std::uint64_t (*)();
-
-  explicit Watchdog(NowFn now = nullptr);
-
   // Opaque reference to a heartbeat slot. Slots live in a stable deque, so
   // the pointer stays valid (and beats stay lock-free) while other threads
   // register concurrently.
@@ -97,9 +92,6 @@ class Watchdog {
     std::atomic<std::uint64_t> last_beat_ns{0};
   };
 
-  std::uint64_t now_ns() const;
-
-  const NowFn now_;
   mutable std::mutex mu_;  // guards registration; beats are lock-free
   std::deque<Entry> entries_;  // deque: handles index into stable storage
 };

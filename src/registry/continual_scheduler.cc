@@ -133,7 +133,9 @@ void ContinualScheduler::loop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(thread_mu_);
-      if (stop_cv_.wait_for(lock, options_.poll_interval, [this] { return stopping_; })) break;
+      if (support::wait_until(stop_cv_, lock, support::now() + options_.poll_interval,
+                              [this] { return stopping_; }))
+        break;
     }
     if (options_.watchdog) options_.watchdog->set_busy(heartbeat, "poll");
     poll_once();
@@ -172,7 +174,7 @@ bool ContinualScheduler::poll_once() {
                   << options_.max_cycles << " exhausted";
       return false;
     }
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = support::now();
     if (have_last_cycle_ && now - last_cycle_end_ < options_.cycle_cooldown) {
       log_debug() << "[autopilot] drift (" << report.reason << ") inside cycle cooldown, skipping";
       return false;
@@ -276,7 +278,7 @@ bool ContinualScheduler::poll_once() {
   const bool succeeded = !event.cycle_failed;
   if (succeeded) ++cycles_;
   have_last_cycle_ = true;
-  last_cycle_end_ = std::chrono::steady_clock::now();
+  last_cycle_end_ = support::now();
   history_.push_back(std::move(event));
   return succeeded;
 }

@@ -44,6 +44,7 @@
 #include "serve/drift_monitor.h"
 #include "serve/prediction_service.h"
 #include "support/circuit_breaker.h"
+#include "support/clock.h"
 
 namespace tcm::registry {
 
@@ -173,7 +174,7 @@ class ContinualScheduler {
   std::uint64_t polls_ = 0;
   std::uint64_t cycles_ = 0;  // successful cycles (the max_cycles budget)
   bool cycle_in_flight_ = false;
-  std::chrono::steady_clock::time_point last_cycle_end_{};
+  support::TimePoint last_cycle_end_{};
   bool have_last_cycle_ = false;
 
   std::mutex thread_mu_;  // guards thread lifecycle (start/stop)

@@ -1,16 +1,16 @@
 #include "search/beam_search.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 
+#include "support/clock.h"
 #include "transforms/apply.h"
 
 namespace tcm::search {
 
 SearchResult beam_search(const ir::Program& p, CandidateEvaluator& evaluator,
                          const BeamSearchOptions& options) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = support::now();
   const double accounted0 = evaluator.accounted_seconds();
   const std::int64_t evals0 = evaluator.evaluations();
 
@@ -107,8 +107,7 @@ SearchResult beam_search(const ir::Program& p, CandidateEvaluator& evaluator,
   result.best_score = have_best ? best_score : 1.0;
   result.evaluations = evaluator.evaluations() - evals0;
   result.accounted_seconds = evaluator.accounted_seconds() - accounted0;
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  result.wall_seconds = support::seconds_since(t0);
   return result;
 }
 

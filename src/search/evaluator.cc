@@ -1,9 +1,9 @@
 #include "search/evaluator.h"
 
-#include <chrono>
 #include <stdexcept>
 #include <thread>
 
+#include "support/clock.h"
 #include "transforms/apply.h"
 
 namespace tcm::search {
@@ -51,7 +51,7 @@ ModelEvaluator::ModelEvaluator(serve::PredictionService& service) : service_(&se
 
 std::vector<double> ModelEvaluator::evaluate(const ir::Program& p,
                                              const std::vector<transforms::Schedule>& candidates) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = support::now();
   std::vector<double> predictions;
   try {
     predictions = service_->predict_many(p, candidates, deadline_);
@@ -59,8 +59,7 @@ std::vector<double> ModelEvaluator::evaluate(const ir::Program& p,
     // Keep the historical error contract of the synchronous evaluator.
     throw std::invalid_argument(std::string("ModelEvaluator: ") + e.what());
   }
-  accounted_seconds_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  accounted_seconds_ += support::seconds_since(t0);
   evaluations_ += static_cast<std::int64_t>(candidates.size());
   return predictions;
 }

@@ -1,10 +1,11 @@
 #include "search/mcts.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
+
+#include "support/clock.h"
 
 namespace tcm::search {
 namespace {
@@ -29,7 +30,7 @@ double reward_of(double speedup) { return speedup / (1.0 + speedup); }
 
 MctsResult mcts_search(const ir::Program& p, CandidateEvaluator& model_evaluator,
                        CandidateEvaluator& execution_evaluator, const MctsOptions& options) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = support::now();
   const double accounted0 =
       model_evaluator.accounted_seconds() + execution_evaluator.accounted_seconds();
   const std::int64_t evals0 = model_evaluator.evaluations();
@@ -147,8 +148,7 @@ MctsResult mcts_search(const ir::Program& p, CandidateEvaluator& model_evaluator
   result.model_evaluations = model_evaluator.evaluations() - evals0;
   result.accounted_seconds = model_evaluator.accounted_seconds() +
                              execution_evaluator.accounted_seconds() - accounted0;
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  result.wall_seconds = support::seconds_since(t0);
   return result;
 }
 

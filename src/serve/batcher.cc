@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "support/clock.h"
+
 namespace tcm::serve {
 
 StructureBatcher::StructureBatcher(int max_batch, std::chrono::microseconds max_latency)
@@ -48,8 +50,7 @@ void StructureBatcher::flush() {
   cv_.notify_all();
 }
 
-bool StructureBatcher::bucket_ready(const Bucket& b,
-                                    std::chrono::steady_clock::time_point now) const {
+bool StructureBatcher::bucket_ready(const Bucket& b, support::TimePoint now) const {
   if (b.requests.empty()) return false;
   if (closed_) return true;
   if (static_cast<int>(b.requests.size()) >= max_batch_) return true;
@@ -58,7 +59,7 @@ bool StructureBatcher::bucket_ready(const Bucket& b,
   return now - oldest.enqueued >= max_latency_;
 }
 
-int StructureBatcher::find_ready(std::chrono::steady_clock::time_point now) const {
+int StructureBatcher::find_ready(support::TimePoint now) const {
   int best = -1;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     if (!bucket_ready(buckets_[i], now)) continue;
@@ -72,8 +73,7 @@ int StructureBatcher::find_ready(std::chrono::steady_clock::time_point now) cons
 std::vector<PendingRequest> StructureBatcher::next_batch() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    const int ready = find_ready(now);
+    const int ready = find_ready(support::now());
     if (ready >= 0) {
       Bucket& b = buckets_[static_cast<std::size_t>(ready)];
       const std::size_t take = std::min(b.requests.size(), static_cast<std::size_t>(max_batch_));
@@ -91,14 +91,11 @@ std::vector<PendingRequest> StructureBatcher::next_batch() {
     }
     if (closed_) return {};  // closed and drained
     // Sleep until the earliest partial-flush deadline, or a notify.
-    auto deadline = std::chrono::steady_clock::time_point::max();
+    auto deadline = support::TimePoint::max();
     for (const Bucket& b : buckets_)
       if (!b.requests.empty())
         deadline = std::min(deadline, b.requests.front().enqueued + max_latency_);
-    if (deadline == std::chrono::steady_clock::time_point::max())
-      cv_.wait(lock);
-    else
-      cv_.wait_until(lock, deadline);
+    support::wait_until(cv_, lock, deadline);
   }
 }
 
@@ -134,12 +131,11 @@ std::size_t StructureBatcher::pending() const {
 
 std::chrono::nanoseconds StructureBatcher::oldest_age() const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto oldest = std::chrono::steady_clock::time_point::max();
+  auto oldest = support::TimePoint::max();
   for (const Bucket& b : buckets_)
     if (!b.requests.empty()) oldest = std::min(oldest, b.requests.front().enqueued);
-  if (oldest == std::chrono::steady_clock::time_point::max())
-    return std::chrono::nanoseconds::zero();
-  return std::chrono::steady_clock::now() - oldest;
+  if (oldest == support::TimePoint::max()) return std::chrono::nanoseconds::zero();
+  return support::now() - oldest;
 }
 
 void StructureBatcher::set_max_latency(std::chrono::microseconds max_latency) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "model/featurize.h"
+#include "support/clock.h"
 
 namespace tcm::serve {
 
@@ -35,11 +36,11 @@ struct Prediction {
 struct PendingRequest {
   std::shared_ptr<const model::FeaturizedProgram> feats;
   std::promise<Prediction> result;
-  std::chrono::steady_clock::time_point enqueued;
+  support::TimePoint enqueued;
   // Absolute point after which the client no longer wants the answer; the
   // worker sheds expired requests at the stage boundaries instead of
   // spending a forward pass on them. max() = no deadline.
-  std::chrono::steady_clock::time_point deadline = std::chrono::steady_clock::time_point::max();
+  support::TimePoint deadline = support::TimePoint::max();
   std::uint64_t sequence = 0;  // assigned by the batcher, monotonically
   // Nonzero when the originating request was trace-sampled: carries the
   // trace id across the batcher's thread hop so batch-worker spans
@@ -101,8 +102,8 @@ class StructureBatcher {
   };
 
   // Requires mu_ held. Index of a ready bucket (oldest head first), or -1.
-  int find_ready(std::chrono::steady_clock::time_point now) const;
-  bool bucket_ready(const Bucket& b, std::chrono::steady_clock::time_point now) const;
+  int find_ready(support::TimePoint now) const;
+  bool bucket_ready(const Bucket& b, support::TimePoint now) const;
 
   const int max_batch_;
   std::chrono::microseconds max_latency_;  // guarded by mu_ (set_max_latency)

@@ -7,19 +7,12 @@
 #include "obs/event_log.h"
 #include "obs/trace.h"
 #include "serve/errors.h"
+#include "support/clock.h"
 #include "support/failpoint.h"
 #include "support/stats.h"
 
 namespace tcm::serve {
 namespace {
-
-// Nanoseconds-since-epoch of a steady_clock time_point, on the same clock
-// Tracer::now_ns uses, so spans built from request timestamps line up with
-// spans built from fresh clock reads.
-std::uint64_t to_trace_ns(std::chrono::steady_clock::time_point tp) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(tp.time_since_epoch()).count());
-}
 
 // Wraps a caller-owned predictor in a non-owning shared_ptr (aliasing
 // constructor with an empty control block target): swap/pin semantics work
@@ -218,7 +211,7 @@ std::optional<std::future<Prediction>> PredictionService::preflight(RequestDeadl
   const bool has_default = options_.default_deadline.count() > 0;
   // Fast path: nothing configured — no clock read, no lock.
   if (!has_default && deadline == kNoDeadline && !admission_->enabled()) return std::nullopt;
-  const auto now = std::chrono::steady_clock::now();
+  const auto now = support::now();
   if (has_default) deadline = std::min(deadline, now + options_.default_deadline);
   if (deadline != kNoDeadline && now >= deadline) {
     admission_->count_shed(ShedReason::kDeadlineSubmit);
@@ -265,13 +258,12 @@ std::future<Prediction> PredictionService::submit_with_key(const PairKey& key,
     if (trace_id != 0)
       obs::Tracer::instance().record("serve.cache_miss", trace_id, obs::Tracer::now_ns(),
                                      obs::Tracer::now_ns());
-    const auto featurize_start = std::chrono::steady_clock::now();
+    const auto featurize_start = support::now();
     std::string error;
     auto fresh = model::featurize(program, schedule, options_.features, &error);
-    stage_featurize_->observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - featurize_start).count());
+    stage_featurize_->observe(support::seconds_since(featurize_start));
     if (trace_id != 0)
-      obs::Tracer::instance().record("serve.featurize", trace_id, to_trace_ns(featurize_start),
+      obs::Tracer::instance().record("serve.featurize", trace_id, support::to_ns(featurize_start),
                                      obs::Tracer::now_ns());
     if (!fresh) {
       failed_requests_->inc();
@@ -298,7 +290,7 @@ std::future<Prediction> PredictionService::enqueue_request(
     std::shared_ptr<const model::FeaturizedProgram> feats, RequestDeadline deadline) {
   PendingRequest req;
   req.feats = std::move(feats);
-  req.enqueued = std::chrono::steady_clock::now();
+  req.enqueued = support::now();
   req.deadline = deadline;
   // Carry the caller's trace context (0 when unsampled) across the thread
   // hop to the batch worker.
@@ -344,7 +336,6 @@ void PredictionService::worker_loop(int worker_index) {
     }
     const std::size_t batch_size = batch.size();
     run_batch(std::move(batch), ws);
-    batcher_.batch_done(batch_size);
     // Point-in-time serving gauges, refreshed once per batch (two relaxed
     // stores; far below the forward-pass cost).
     queue_depth_->set(static_cast<double>(batcher_.pending()));
@@ -354,6 +345,8 @@ void PredictionService::worker_loop(int worker_index) {
     // Step the degradation ladder back down as the queue drains: shed
     // arrivals never reach admit(), so recovery must be worker-driven.
     refresh_degradation();
+    // Last, so a quiesce() that returns has also seen the ladder step.
+    batcher_.batch_done(batch_size);
     if (options_.watchdog) options_.watchdog->set_idle(heartbeat);
   }
   if (options_.watchdog) options_.watchdog->unregister(heartbeat);
@@ -393,7 +386,7 @@ void PredictionService::refresh_degradation() {
 }
 
 void PredictionService::run_batch(std::vector<PendingRequest> batch, WorkerState& ws) {
-  const auto batch_start = std::chrono::steady_clock::now();
+  const auto batch_start = support::now();
   // Shed point: requests whose deadline expired while they queued are failed
   // here, before any assembly or inference is spent on them.
   bool has_deadline = false;
@@ -432,8 +425,8 @@ void PredictionService::run_batch(std::vector<PendingRequest> batch, WorkerState
   for (const PendingRequest& req : batch) {
     stage_queue_wait_->observe(std::chrono::duration<double>(batch_start - req.enqueued).count());
     if (req.trace_id != 0)
-      obs::Tracer::instance().record("serve.queue_wait", req.trace_id, to_trace_ns(req.enqueued),
-                                     to_trace_ns(batch_start));
+      obs::Tracer::instance().record("serve.queue_wait", req.trace_id, support::to_ns(req.enqueued),
+                                     support::to_ns(batch_start));
   }
 
   std::vector<const model::FeaturizedProgram*> rows;
@@ -442,10 +435,9 @@ void PredictionService::run_batch(std::vector<PendingRequest> batch, WorkerState
   // The batch tree aliases rows[0], kept alive by batch[0].feats.
   const model::Batch model_batch = [&] {
     obs::ScopedSpan span("serve.batch_assemble", batch_trace);
-    const auto assemble_start = std::chrono::steady_clock::now();
+    const auto assemble_start = support::now();
     model::Batch mb = model::make_inference_batch(rows);
-    stage_batch_assemble_->observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - assemble_start).count());
+    stage_batch_assemble_->observe(support::seconds_since(assemble_start));
     return mb;
   }();
 
@@ -453,7 +445,7 @@ void PredictionService::run_batch(std::vector<PendingRequest> batch, WorkerState
   // forward pass entirely. A partially expired batch still runs — rows
   // cannot be removed once the batch tensors are built.
   if (has_deadline) {
-    const auto pre_infer = std::chrono::steady_clock::now();
+    const auto pre_infer = support::now();
     bool all_expired = true;
     for (const PendingRequest& req : batch)
       if (req.deadline > pre_infer) {
@@ -493,20 +485,19 @@ void PredictionService::run_batch(std::vector<PendingRequest> batch, WorkerState
     TCM_FAILPOINT("infer.throw");  // chaos site: fails exactly this batch's futures
     {
       obs::ScopedSpan span("serve.infer", batch_trace);
-      const auto infer_start = std::chrono::steady_clock::now();
+      const auto infer_start = support::now();
       score_batch(*snapshot->predictor, model_batch, ws, ws.preds);
-      stage_infer_->observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - infer_start).count());
+      stage_infer_->observe(support::seconds_since(infer_start));
     }
     count_arena_allocs(ws);
     // Account before fulfilling the promises: a client that sees its future
     // ready must also see the request counted in stats().
-    const auto done = std::chrono::steady_clock::now();
+    const auto done = support::now();
     for (const PendingRequest& req : batch) {
       e2e_latency_->observe(std::chrono::duration<double>(done - req.enqueued).count());
       if (req.trace_id != 0)
-        obs::Tracer::instance().record("serve.e2e", req.trace_id, to_trace_ns(req.enqueued),
-                                       to_trace_ns(done));
+        obs::Tracer::instance().record("serve.e2e", req.trace_id, support::to_ns(req.enqueued),
+                                       support::to_ns(done));
     }
     requests_->inc(static_cast<std::uint64_t>(b));
     if (options_.prediction_window > 0) {
@@ -532,11 +523,10 @@ void PredictionService::run_batch(std::vector<PendingRequest> batch, WorkerState
     // plain vector.
     if (shadow) {
       obs::ScopedSpan span("serve.shadow", batch_trace);
-      const auto shadow_start = std::chrono::steady_clock::now();
+      const auto shadow_start = support::now();
       run_shadow(*shadow, model_batch, ws.preds, batch_index, ws);
       count_arena_allocs(ws);
-      stage_shadow_->observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - shadow_start).count());
+      stage_shadow_->observe(support::seconds_since(shadow_start));
     }
   } catch (...) {
     failed_requests_->inc(static_cast<std::uint64_t>(b));

@@ -16,9 +16,7 @@
 // Inference is deterministic: the tape-free infer_batch path applies no
 // dropout and computes each batch row independently, so a request's
 // prediction is bitwise-identical however it is batched (asserted by the
-// serve hammer test against direct infer_batch calls). Predictors without a
-// fused engine inherit SpeedupPredictor's infer_batch fallback, which wraps
-// forward_batch.
+// serve hammer test against direct infer_batch calls).
 //
 // Model ownership and hot-swap: the service holds a shared_ptr to an
 // immutable predictor snapshot. A worker pins the snapshot once per batch
@@ -66,8 +64,9 @@
 
 namespace tcm::serve {
 
-// Absolute per-request deadline on the serving clock; max() = none.
-using RequestDeadline = std::chrono::steady_clock::time_point;
+// Absolute per-request deadline on the process clock (support/clock.h);
+// max() = none.
+using RequestDeadline = support::TimePoint;
 inline constexpr RequestDeadline kNoDeadline = RequestDeadline::max();
 
 struct ServeOptions {

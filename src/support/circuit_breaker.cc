@@ -4,10 +4,6 @@ namespace tcm::support {
 
 CircuitBreaker::CircuitBreaker(Options options) : options_(std::move(options)) {}
 
-std::chrono::steady_clock::time_point CircuitBreaker::now() const {
-  return options_.now_fn ? options_.now_fn() : std::chrono::steady_clock::now();
-}
-
 void CircuitBreaker::refresh_locked() const {
   if (state_ == State::kOpen && now() - opened_at_ >= options_.open_cooldown) {
     state_ = State::kHalfOpen;

@@ -10,14 +10,14 @@
 // burning compute every poll into one cheap probe per cooldown, with the
 // state visible on /debug/state and /healthz.
 //
-// Thread-safe. The clock is injectable so tests drive transitions without
-// sleeping.
+// Thread-safe. The cooldown runs on the process clock (support/clock.h).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <mutex>
+
+#include "support/clock.h"
 
 namespace tcm::support {
 
@@ -28,8 +28,6 @@ class CircuitBreaker {
   struct Options {
     int failure_threshold = 3;  // consecutive failures that open the breaker
     std::chrono::milliseconds open_cooldown{60000};  // open -> half-open
-    // Test hook; defaults to steady_clock.
-    std::function<std::chrono::steady_clock::time_point()> now_fn;
   };
 
   explicit CircuitBreaker(Options options);
@@ -50,7 +48,6 @@ class CircuitBreaker {
   std::uint64_t times_opened() const;  // closed/half-open -> open transitions
 
  private:
-  std::chrono::steady_clock::time_point now() const;
   // Requires mu_ held: open -> half-open promotion when the cooldown passed.
   // Const because the read-only observers (state()) also perform it — the
   // promotion is driven by the clock, not by an API call.
@@ -62,7 +59,7 @@ class CircuitBreaker {
   int consecutive_failures_ = 0;
   std::uint64_t times_opened_ = 0;
   mutable bool probe_in_flight_ = false;  // half-open: one probe admitted
-  std::chrono::steady_clock::time_point opened_at_{};
+  TimePoint opened_at_{};
 };
 
 }  // namespace tcm::support

@@ -15,6 +15,8 @@
 #include <sys/syscall.h>
 #endif
 
+#include "support/clock.h"
+
 namespace tcm {
 namespace {
 
@@ -29,7 +31,7 @@ struct RateLimiter {
   double rate = 64.0;    // tokens per second
   double burst = 256.0;  // bucket capacity; <= 0 disables
   double tokens = 256.0;
-  std::chrono::steady_clock::time_point last = std::chrono::steady_clock::now();
+  support::TimePoint last = support::now();
   std::uint64_t pending_suppressed = 0;  // dropped since the last passing line
 };
 RateLimiter g_rate;
@@ -43,8 +45,10 @@ bool rate_limit_admit(std::uint64_t* suppressed) {
     *suppressed = 0;
     return true;
   }
-  const auto now = std::chrono::steady_clock::now();
-  g_rate.tokens += std::chrono::duration<double>(now - g_rate.last).count() * g_rate.rate;
+  const auto now = support::now();
+  // A replaced test clock can leave `last` ahead of now: refill nothing.
+  if (now > g_rate.last)
+    g_rate.tokens += std::chrono::duration<double>(now - g_rate.last).count() * g_rate.rate;
   if (g_rate.tokens > g_rate.burst) g_rate.tokens = g_rate.burst;
   g_rate.last = now;
   if (g_rate.tokens < 1.0) {
@@ -137,7 +141,7 @@ void set_log_rate_limit(double lines_per_sec, double burst) {
   g_rate.rate = lines_per_sec;
   g_rate.burst = burst;
   g_rate.tokens = burst;
-  g_rate.last = std::chrono::steady_clock::now();
+  g_rate.last = support::now();
 }
 
 std::uint64_t log_suppressed_total() {

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
 #include <future>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -26,6 +28,7 @@
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "registry/model_registry.h"
+#include "test_clock.h"
 
 namespace fs = std::filesystem;
 
@@ -271,6 +274,8 @@ TEST(Http, MetricsContentTypeAndOneTypeLinePerFamily) {
 }
 
 TEST(Http, HealthzFollowsWatchdogDegradedThenUnhealthy) {
+  ManualClock clock;
+  support::ScopedClock use_clock(clock);
   Stack stack = make_stack("watchdog");
   HttpClient client("127.0.0.1", stack.port());
   ASSERT_EQ(client.get("/healthz")->status, 200);
@@ -281,7 +286,7 @@ TEST(Http, HealthzFollowsWatchdogDegradedThenUnhealthy) {
   const obs::Watchdog::Handle poller =
       dog.register_thread("fake_poller", std::chrono::milliseconds(10), /*critical=*/false);
   dog.set_busy(poller, "poll");
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  clock.advance(std::chrono::milliseconds(50));
 
   Result<HttpResponse> degraded = client.get("/healthz");
   ASSERT_TRUE(degraded.ok());
@@ -296,7 +301,7 @@ TEST(Http, HealthzFollowsWatchdogDegradedThenUnhealthy) {
   const obs::Watchdog::Handle worker =
       dog.register_thread("fake_batch_worker", std::chrono::milliseconds(10), /*critical=*/true);
   dog.set_busy(worker, "run_batch");
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  clock.advance(std::chrono::milliseconds(50));
 
   Result<HttpResponse> unhealthy = client.get("/healthz");
   ASSERT_TRUE(unhealthy.ok());
@@ -680,6 +685,48 @@ TEST(Http, ExpectContinueIsHonored) {
   stack.server->stop();
 }
 
+// X-Deadline-Ms is a relative budget. An expired one sheds with 504; one
+// whose absolute deadline the clock cannot represent is a 400 instead of a
+// signed overflow (which the ASan+UBSan build would flag): both ends of the
+// long long range, and budgets just past what int64 nanoseconds can hold.
+TEST(Http, DeadlineHeaderOutOfRangeIsInvalidArgument) {
+  Stack stack = make_stack("deadline_header");
+  HttpClient client("127.0.0.1", stack.port());
+  datagen::RandomProgramGenerator gen(datagen::GeneratorOptions::tiny());
+  datagen::RandomScheduleGenerator sgen;
+  Rng rng(71);
+  const ir::Program program = gen.generate(3);
+  const std::string predict = predict_body(program, sgen.generate(program, rng)).dump();
+  Json search = Json::object();
+  search.set("program", to_json(program));
+  const auto post = [&](const char* path, const std::string& body, const char* budget) {
+    return client.request("POST", path, body, {{"X-Deadline-Ms", budget}});
+  };
+
+  for (const char* budget :
+       {"9223372036854775807", "-9223372036854775808", "9300000000000", "-9300000000000"}) {
+    for (const char* path : {"/v1/predict", "/v1/search"}) {
+      Result<HttpResponse> response =
+          post(path, path == std::string("/v1/predict") ? predict : search.dump(), budget);
+      ASSERT_TRUE(response.ok()) << response.status().to_string();
+      EXPECT_EQ(response->status, 400) << path << " " << budget;
+      EXPECT_EQ(error_code(response->body), "INVALID_ARGUMENT") << response->body;
+    }
+  }
+  // One past the range is not an integer at all.
+  Result<HttpResponse> malformed = post("/v1/predict", predict, "9223372036854775808");
+  ASSERT_TRUE(malformed.ok());
+  EXPECT_EQ(malformed->status, 400);
+  Result<HttpResponse> expired = post("/v1/predict", predict, "-1");
+  ASSERT_TRUE(expired.ok());
+  EXPECT_EQ(expired->status, 504);
+  EXPECT_EQ(error_code(expired->body), "DEADLINE_EXCEEDED");
+  Result<HttpResponse> served = post("/v1/predict", predict, "600000");
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served->status, 200) << served->body;
+  stack.server->stop();
+}
+
 TEST(Http, KeepAliveReusesOneConnection) {
   Stack stack = make_stack("keepalive");
   HttpClient client("127.0.0.1", stack.port());
@@ -737,6 +784,13 @@ TEST(Http, ConcurrentClientsBitwiseParityWithHotSwapUnderTraffic) {
   std::atomic<int> mismatches{0};
   std::atomic<int> failures{0};
   std::atomic<int> done{0};
+  std::mutex progress_mu;  // pairs with progress_cv: a request finished
+  std::condition_variable progress_cv;
+  auto finished = [&](std::atomic<int>& counter) {
+    ++counter;
+    { std::lock_guard<std::mutex> lock(progress_mu); }
+    progress_cv.notify_all();
+  };
   const int port = stack.port();
 
   std::vector<std::thread> clients;
@@ -748,12 +802,12 @@ TEST(Http, ConcurrentClientsBitwiseParityWithHotSwapUnderTraffic) {
         const std::size_t i = static_cast<std::size_t>((c + r)) % bodies.size();
         Result<HttpResponse> response = client.post("/v1/predict", bodies[i]);
         if (!response.ok() || response->status != 200) {
-          ++failures;
+          finished(failures);
           continue;
         }
         Result<Json> parsed = Json::parse(response->body);
         if (!parsed.ok()) {
-          ++failures;
+          finished(failures);
           continue;
         }
         const Json& item = parsed->find("predictions")->as_array()[0];
@@ -761,13 +815,19 @@ TEST(Http, ConcurrentClientsBitwiseParityWithHotSwapUnderTraffic) {
         const int version = static_cast<int>(item.find("model_version")->as_int());
         const double expected = version == 1 ? expected_v1[i] : expected_v2[i];
         if (speedup != expected) ++mismatches;  // bitwise comparison
-        ++done;
+        finished(done);
       }
     });
   }
 
-  // Hot-swap through the HTTP surface mid-traffic.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Hot-swap through the HTTP surface mid-traffic: once a quarter of the
+  // requests have completed.
+  {
+    std::unique_lock<std::mutex> lock(progress_mu);
+    progress_cv.wait(lock, [&] {
+      return done.load() + failures.load() >= kClients * kRequestsPerClient / 4;
+    });
+  }
   HttpClient admin("127.0.0.1", port);
   Result<HttpResponse> promoted = admin.post("/v1/models/promote", R"({"version":2})");
   ASSERT_TRUE(promoted.ok());

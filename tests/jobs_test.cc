@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "serve/errors.h"
 #include "serve/fingerprint.h"
 #include "serve/prediction_service.h"
+#include "test_clock.h"
 #include "transforms/apply.h"
 
 namespace fs = std::filesystem;
@@ -55,23 +57,47 @@ serve::ServeOptions serve_options(int threads = 2) {
   return options;
 }
 
+// Blocks on the job's event stream until it ends (the job is terminal). The
+// real-time give-up only turns a hang into a failure.
 SearchJobInfo wait_terminal(SearchJobManager& manager, const std::string& id,
                             std::chrono::seconds timeout = std::chrono::seconds(120)) {
   const auto give_up = std::chrono::steady_clock::now() + timeout;
+  std::size_t cursor = 0;
   for (;;) {
-    std::optional<SearchJobInfo> info = manager.info(id);
-    EXPECT_TRUE(info.has_value()) << "job " << id << " vanished";
-    if (!info) return {};
-    if (info->state == JobState::kDone || info->state == JobState::kFailed ||
-        info->state == JobState::kCancelled)
-      return *info;
+    const SearchJobManager::EventBatch batch =
+        manager.events_since(id, cursor, std::chrono::milliseconds(1000));
+    cursor += batch.lines.size();
+    if (batch.done) break;
     if (std::chrono::steady_clock::now() > give_up) {
       ADD_FAILURE() << "job " << id << " did not reach a terminal state";
-      return *info;
+      break;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+  std::optional<SearchJobInfo> info = manager.info(id);
+  EXPECT_TRUE(info.has_value()) << "job " << id << " vanished";
+  return info.value_or(SearchJobInfo{});
 }
+
+// A CostModel that runs `before_batch` ahead of every scored batch, so a
+// test can move the manual clock from inside scoring.
+class HookedPredictor final : public model::SpeedupPredictor {
+ public:
+  HookedPredictor(model::CostModel& inner, std::function<void()> before_batch)
+      : inner_(inner), before_batch_(std::move(before_batch)) {}
+  nn::Variable forward_batch(const model::Batch& batch, bool training, Rng& rng) override {
+    return inner_.forward_batch(batch, training, rng);
+  }
+  const nn::Tensor& infer_batch(const model::Batch& batch, nn::InferenceArena& arena) override {
+    before_batch_();
+    return inner_.infer_batch(batch, arena);
+  }
+  nn::Module& module() override { return inner_.module(); }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  model::CostModel& inner_;
+  std::function<void()> before_batch_;
+};
 
 // ---------------------------------------------------------------------------
 // ScheduleMemory
@@ -425,11 +451,18 @@ TEST(SearchJobManager, CancelMidSearchReturnsCancelledWithinOneBatch) {
   request.program = slow_program();
   request.beam_width = 6;
   const std::string id = manager.submit(request);
-  // Wait until the job is actually running, then cancel mid-search.
+  // Wait for the job's RUNNING event, then cancel mid-search.
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (manager.info(id)->state == JobState::kQueued &&
-         std::chrono::steady_clock::now() < give_up)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::size_t cursor = 0;
+  for (bool running = false; !running;) {
+    const SearchJobManager::EventBatch batch =
+        manager.events_since(id, cursor, std::chrono::milliseconds(1000));
+    for (const std::string& line : batch.lines)
+      if (line.find("\"RUNNING\"") != std::string::npos) running = true;
+    cursor += batch.lines.size();
+    ASSERT_FALSE(batch.done) << "job ended before it could be cancelled";
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+  }
   ASSERT_TRUE(manager.cancel(id));
   const SearchJobInfo info = wait_terminal(manager, id);
   EXPECT_EQ(info.state, JobState::kCancelled);
@@ -437,28 +470,29 @@ TEST(SearchJobManager, CancelMidSearchReturnsCancelledWithinOneBatch) {
 }
 
 TEST(SearchJobManager, ExpiredDeadlineFailsInsteadOfHanging) {
+  // Time moves only from inside scoring: the first batch scored after the
+  // job has reported progress steps the clock past the job deadline. So the
+  // deadline passes mid-search however long the search really takes.
+  ManualClock clock;
+  support::ScopedClock use_clock(clock);
+  const std::chrono::seconds budget(60);
   Rng rng(7);
   model::CostModel cost_model(model::ModelConfig::fast(), rng);
-  serve::PredictionService service(cost_model, serve_options());
-
-  // The manager's clock advances one hour per read, however long the search
-  // really takes. Its reads for this job run: 1 submit (enqueued_at), 2 the
-  // worker's expired-while-queued check, 3 arming the first scoring
-  // deadline, then per progress callback 4 wall_seconds and 5 the deadline
-  // check. A deadline at 3.5 hours therefore passes while the first beam
-  // decision is being scored and is seen after that batch. The clock runs
-  // ahead of steady_clock, so the scoring deadlines the PredictionService
-  // sees stay in the real future.
-  const auto start = std::chrono::steady_clock::now();
-  const std::chrono::seconds step(3600);
-  std::atomic<int> reads{0};
-  SearchJobManagerOptions options;
-  options.now_fn = [&] { return start + step * (reads.fetch_add(1) + 1); };
-  SearchJobManager manager(service, options);
+  std::atomic<SearchJobManager*> watched{nullptr};
+  std::atomic<bool> stepped{false};
+  HookedPredictor predictor(cost_model, [&] {
+    SearchJobManager* manager = watched.load();
+    if (manager == nullptr || stepped.load()) return;
+    for (const SearchJobInfo& job : manager->list())
+      if (job.evaluations > 0 && !stepped.exchange(true)) clock.advance(2 * budget);
+  });
+  serve::PredictionService service(predictor, serve_options());
+  SearchJobManager manager(service, {});
+  watched = &manager;
 
   SearchJobRequest request;
   request.program = slow_program();
-  request.deadline = start + 3 * step + step / 2;
+  request.deadline = clock.now() + budget;
   const std::string id = manager.submit(request);
   const SearchJobInfo info = wait_terminal(manager, id);
   EXPECT_EQ(info.state, JobState::kFailed);
@@ -644,14 +678,8 @@ TEST(ServiceSearch, SubmitPollCancelAndStatsSurface) {
   ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
   const std::string id = submitted->id;
 
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  wait_terminal(*(*service)->search_jobs(), id);
   api::Result<SearchJobInfo> polled = (*service)->search_job(id);
-  while (polled.ok() && polled->state != JobState::kDone &&
-         polled->state != JobState::kFailed && polled->state != JobState::kCancelled) {
-    ASSERT_LT(std::chrono::steady_clock::now(), give_up);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    polled = (*service)->search_job(id);
-  }
   ASSERT_TRUE(polled.ok()) << polled.status().to_string();
   EXPECT_EQ(polled->state, JobState::kDone) << polled->error;
   EXPECT_GE(polled->best_speedup, polled->baseline_speedup);
@@ -689,14 +717,8 @@ TEST(ServiceSearch, ScheduleReuseSurvivesServiceRestart) {
     ASSERT_TRUE(service.ok()) << service.status().to_string();
     api::Result<SearchJobInfo> job = (*service)->submit_search(service_search_request());
     ASSERT_TRUE(job.ok()) << job.status().to_string();
-    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    wait_terminal(*(*service)->search_jobs(), job->id);
     api::Result<SearchJobInfo> polled = (*service)->search_job(job->id);
-    while (polled.ok() && polled->state != JobState::kDone &&
-           polled->state != JobState::kFailed) {
-      ASSERT_LT(std::chrono::steady_clock::now(), give_up);
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      polled = (*service)->search_job(job->id);
-    }
     ASSERT_TRUE(polled.ok());
     ASSERT_EQ(polled->state, JobState::kDone) << polled->error;
     first_speedup = polled->best_speedup;

@@ -36,6 +36,7 @@
 #include "obs/watchdog.h"
 #include "registry/model_registry.h"
 #include "support/log.h"
+#include "test_clock.h"
 
 namespace fs = std::filesystem;
 
@@ -290,15 +291,13 @@ TEST(EventLog, DumpToFdWritesParseableJson) {
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog (fake clock: stall detection without sleeping)
+// Watchdog (manual clock: stall detection without sleeping)
 // ---------------------------------------------------------------------------
 
-std::atomic<std::uint64_t> g_fake_now_ns{0};
-std::uint64_t fake_now() { return g_fake_now_ns.load(std::memory_order_relaxed); }
-
 TEST(Watchdog, BusyThreadStallsIdleThreadNever) {
-  g_fake_now_ns.store(0);
-  obs::Watchdog dog(&fake_now);
+  ManualClock clock;
+  support::ScopedClock use_clock(clock);
+  obs::Watchdog dog;
   const obs::Watchdog::Handle worker =
       dog.register_thread("batch_worker_0", std::chrono::milliseconds(100), /*critical=*/true);
   const obs::Watchdog::Handle poller =
@@ -306,16 +305,16 @@ TEST(Watchdog, BusyThreadStallsIdleThreadNever) {
   EXPECT_EQ(dog.registered_threads(), 2u);
 
   // Both idle: any age is fine.
-  g_fake_now_ns.store(10'000'000'000ull);  // +10s
+  clock.advance(std::chrono::seconds(10));
   EXPECT_EQ(dog.report().health, obs::Watchdog::Health::kHealthy);
 
   // Busy inside the window: healthy.
   dog.set_busy(worker, "run_batch");
-  g_fake_now_ns.fetch_add(50'000'000ull);  // +50ms
+  clock.advance(std::chrono::milliseconds(50));
   EXPECT_EQ(dog.report().health, obs::Watchdog::Health::kHealthy);
 
   // Busy past the window: a critical stall is unhealthy, with the reason.
-  g_fake_now_ns.fetch_add(200'000'000ull);  // +200ms
+  clock.advance(std::chrono::milliseconds(200));
   obs::Watchdog::Report report = dog.report();
   EXPECT_EQ(report.health, obs::Watchdog::Health::kUnhealthy);
   EXPECT_NE(report.reason.find("batch_worker_0"), std::string::npos);
@@ -331,7 +330,7 @@ TEST(Watchdog, BusyThreadStallsIdleThreadNever) {
   // A stalled non-critical thread only degrades.
   dog.set_idle(worker);
   dog.set_busy(poller, "poll");
-  g_fake_now_ns.fetch_add(200'000'000ull);
+  clock.advance(std::chrono::milliseconds(200));
   report = dog.report();
   EXPECT_EQ(report.health, obs::Watchdog::Health::kDegraded);
   EXPECT_NE(report.reason.find("autopilot_poller"), std::string::npos);

@@ -18,6 +18,7 @@
 #include "serve/drift_monitor.h"
 #include "serve/feedback_buffer.h"
 #include "serve/prediction_service.h"
+#include "test_clock.h"
 
 namespace fs = std::filesystem;
 
@@ -636,6 +637,8 @@ TEST(ContinualScheduler, InjectedDriftTriggersCyclePromotesAndGcs) {
 }
 
 TEST(ContinualScheduler, BackgroundThreadPollsQuietlyWithoutDrift) {
+  ManualClock clock;  // the poller wakes only when the test steps time
+  support::ScopedClock use_clock(clock);
   ModelRegistry registry(scratch_dir("autopilot_idle"));
   Rng rng(11);
   model::CostModel seed_model(model::ModelConfig::fast(), rng);
@@ -651,10 +654,15 @@ TEST(ContinualScheduler, BackgroundThreadPollsQuietlyWithoutDrift) {
   scheduler.start();
   scheduler.start();  // idempotent
   drive_traffic(service, 16, 6);
-  while (scheduler.polls() < 3) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // A step only wakes a poller already waiting on the clock, so keep
+  // stepping until three polls have landed.
+  while (scheduler.polls() < 3) {
+    clock.advance(sopts.poll_interval);
+    std::this_thread::yield();
+  }
   scheduler.stop();
   const std::uint64_t polls_after_stop = scheduler.polls();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  clock.advance(sopts.poll_interval * 4);
   EXPECT_EQ(scheduler.polls(), polls_after_stop);  // really stopped
   EXPECT_EQ(scheduler.cycles_run(), 0u);
   EXPECT_TRUE(scheduler.history().empty());

@@ -23,6 +23,7 @@
 #include "support/circuit_breaker.h"
 #include "support/failpoint.h"
 #include "support/retry.h"
+#include "test_clock.h"
 
 namespace fs = std::filesystem;
 
@@ -128,23 +129,17 @@ TEST(Retry, MaxAttemptsOneMeansNoRetry) {
 // support::CircuitBreaker
 // ---------------------------------------------------------------------------
 
-struct FakeClock {
-  steady_clock::time_point now = steady_clock::time_point{};
-  void advance(milliseconds d) { now += d; }
-};
-
-support::CircuitBreaker::Options breaker_options(FakeClock& clock, int threshold = 3,
-                                                 milliseconds cooldown = milliseconds(1000)) {
+support::CircuitBreaker::Options breaker_options() {
   support::CircuitBreaker::Options options;
-  options.failure_threshold = threshold;
-  options.open_cooldown = cooldown;
-  options.now_fn = [&clock] { return clock.now; };
+  options.failure_threshold = 3;
+  options.open_cooldown = milliseconds(1000);
   return options;
 }
 
 TEST(CircuitBreaker, OpensAfterConsecutiveFailuresOnly) {
-  FakeClock clock;
-  support::CircuitBreaker breaker(breaker_options(clock));
+  ManualClock clock;
+  support::ScopedClock use_clock(clock);
+  support::CircuitBreaker breaker(breaker_options());
   for (int i = 0; i < 2; ++i) {
     EXPECT_TRUE(breaker.allow());
     breaker.record_failure();
@@ -161,8 +156,9 @@ TEST(CircuitBreaker, OpensAfterConsecutiveFailuresOnly) {
 }
 
 TEST(CircuitBreaker, HalfOpenAdmitsExactlyOneProbe) {
-  FakeClock clock;
-  support::CircuitBreaker breaker(breaker_options(clock));
+  ManualClock clock;
+  support::ScopedClock use_clock(clock);
+  support::CircuitBreaker breaker(breaker_options());
   for (int i = 0; i < 3; ++i) breaker.record_failure();
   ASSERT_EQ(breaker.state(), support::CircuitBreaker::State::kOpen);
 
@@ -181,8 +177,9 @@ TEST(CircuitBreaker, HalfOpenAdmitsExactlyOneProbe) {
 }
 
 TEST(CircuitBreaker, FailedProbeReopensAndRestartsTheCooldown) {
-  FakeClock clock;
-  support::CircuitBreaker breaker(breaker_options(clock));
+  ManualClock clock;
+  support::ScopedClock use_clock(clock);
+  support::CircuitBreaker breaker(breaker_options());
   for (int i = 0; i < 3; ++i) breaker.record_failure();
   clock.advance(milliseconds(1000));
   ASSERT_TRUE(breaker.allow());
@@ -346,6 +343,30 @@ TEST(PredictionServiceResilience, DefaultDeadlineExpiresWhileQueuedAndShedsAtBat
   EXPECT_EQ(stats.batches, 0u);  // the expired batch never reached inference
 }
 
+// Under a manual clock nothing expires until the test moves time: the request
+// waits out its batch window, and the one step past both its deadline and the
+// window wakes the worker, which sheds it without a forward pass.
+TEST(PredictionServiceResilience, QueuedRequestIsShedOnceTheClockPassesItsDeadline) {
+  ManualClock clock;
+  support::ScopedClock use_clock(clock);
+  Rng rng(7);
+  model::CostModel cost_model(model::ModelConfig::fast(), rng);
+  serve::ServeOptions options = fast_options(1);
+  options.max_queue_latency = std::chrono::microseconds(100'000);
+  serve::PredictionService service(cost_model, options);
+
+  auto future =
+      service.submit(featurize_or_die(test_program(), {}), clock.now() + milliseconds(50));
+  EXPECT_EQ(future.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+  EXPECT_EQ(service.pending(), 1u);  // frozen clock: the window never closes
+
+  clock.advance(milliseconds(200));
+  EXPECT_THROW(future.get(), serve::DeadlineExceededError);
+  const serve::ServeStats stats = service.stats();
+  EXPECT_EQ(stats.shed_requests, 1u);
+  EXPECT_EQ(stats.batches, 0u);
+}
+
 TEST(PredictionServiceResilience, ExplicitDeadlineTightensTheServerDefault) {
   Rng rng(7);
   model::CostModel cost_model(model::ModelConfig::fast(), rng);
@@ -393,10 +414,10 @@ TEST(PredictionServiceResilience, SaturatedQueueShedsNewArrivalsAndServesTheAdmi
   EXPECT_EQ(stats.shed_requests, 1u);
   EXPECT_EQ(stats.failed_requests, 0u);  // shed != failed
 
-  // With the queue drained the workers walk the ladder back to normal.
-  const auto wait_until = steady_clock::now() + std::chrono::seconds(10);
-  while (service.stats().degradation_level != 0 && steady_clock::now() < wait_until)
-    std::this_thread::sleep_for(milliseconds(1));
+  // With the queue drained the workers walk the ladder back to normal; a
+  // worker steps the ladder before it marks its batch done, so quiesce()
+  // returning means the step has happened.
+  service.quiesce();
   EXPECT_EQ(service.stats().degradation_level, 0);
 }
 

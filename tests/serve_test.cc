@@ -5,6 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "datagen/generator.h"
@@ -17,6 +19,7 @@
 #include "serve/fingerprint.h"
 #include "search/evaluator.h"
 #include "serve/prediction_service.h"
+#include "support/clock.h"
 
 namespace tcm::serve {
 namespace {
@@ -111,7 +114,7 @@ TEST(FeatureCache, ZeroCapacityDisables) {
 PendingRequest make_request(std::shared_ptr<const model::FeaturizedProgram> feats) {
   PendingRequest req;
   req.feats = std::move(feats);
-  req.enqueued = std::chrono::steady_clock::now();
+  req.enqueued = support::now();
   return req;
 }
 
@@ -418,6 +421,8 @@ TEST(PredictionService, HotSwapUnderLoadNeverMixesModels) {
   std::atomic<int> value_version_mismatch{0};
   std::atomic<int> errors{0};
   std::atomic<std::uint64_t> completed{0};
+  std::mutex progress_mu;  // pairs with progress_cv: a client finished a burst
+  std::condition_variable progress_cv;
 
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
@@ -439,14 +444,24 @@ TEST(PredictionService, HotSwapUnderLoadNeverMixesModels) {
             ++errors;
           }
         }
+        { std::lock_guard<std::mutex> lock(progress_mu); }
+        progress_cv.notify_all();
       }
     });
   }
 
-  // Swap back and forth while the clients hammer the service.
+  // Swap back and forth while the clients hammer the service; each swap
+  // waits for at least one more burst to complete, so traffic runs on every
+  // model epoch.
   int swaps = 0;
   for (; swaps < 40; ++swaps) {
-    std::this_thread::sleep_for(std::chrono::microseconds(700));
+    const std::uint64_t seen = completed.load() + static_cast<std::uint64_t>(errors.load());
+    {
+      std::unique_lock<std::mutex> lock(progress_mu);
+      progress_cv.wait(lock, [&] {
+        return completed.load() + static_cast<std::uint64_t>(errors.load()) > seen;
+      });
+    }
     if (swaps % 2 == 0)
       service.swap_model(b, 2);
     else

@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <vector>
 
+#include "support/clock.h"
 #include "support/crc32.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
+#include "test_clock.h"
 
 namespace tcm {
 namespace {
@@ -330,6 +338,90 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const std::uint32_t before = crc32(data.data(), data.size());
   data[100] = static_cast<char>(data[100] ^ 0x10);
   EXPECT_NE(crc32(data.data(), data.size()), before);
+}
+
+// ---------------------------------------------------------------------------
+// support::Clock
+// ---------------------------------------------------------------------------
+
+TEST(Clock, ScopedClockReplacesAndRestoresTheProcessClock) {
+  const support::TimePoint before = support::now();
+  {
+    ManualClock clock;
+    support::ScopedClock use_clock(clock);
+    const support::TimePoint frozen = support::now();
+    EXPECT_EQ(support::now(), frozen);
+    clock.advance(std::chrono::seconds(5));
+    EXPECT_EQ(support::now() - frozen, std::chrono::seconds(5));
+  }
+  EXPECT_GE(support::now(), before);  // steady_clock again
+}
+
+TEST(Clock, SteadyWaitTimesOutOrWakesOnNotify) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::unique_lock<std::mutex> lock(mu);
+  EXPECT_EQ(support::wait_until(cv, lock, support::now()), std::cv_status::timeout);
+  bool ready = false;
+  std::thread notifier([&] {
+    {
+      std::lock_guard<std::mutex> guard(mu);
+      ready = true;
+    }
+    cv.notify_all();
+  });
+  // max() waits for the notify only.
+  EXPECT_TRUE(support::wait_until(cv, lock, support::TimePoint::max(), [&] { return ready; }));
+  lock.unlock();
+  notifier.join();
+}
+
+// A step wakes every wait armed against the clock, whether the waiter armed
+// before the step (woken by it) or after (sees the deadline already passed).
+// A lost wakeup hangs the join.
+TEST(Clock, ManualClockAdvanceWakesEveryWaiter) {
+  ManualClock clock;
+  support::ScopedClock use_clock(clock);
+  struct Slot {
+    std::mutex mu;
+    std::condition_variable cv;
+  };
+  for (int round = 0; round < 100; ++round) {
+    const support::TimePoint deadline = clock.now() + std::chrono::milliseconds(10);
+    std::array<Slot, 3> slots;
+    std::atomic<int> timed_out{0};
+    std::vector<std::thread> waiters;
+    for (int i = 0; i < 4; ++i)
+      waiters.emplace_back([&, i] {
+        Slot& slot = slots[static_cast<std::size_t>(i % 3)];  // two share a slot
+        std::unique_lock<std::mutex> lock(slot.mu);
+        if (!support::wait_until(slot.cv, lock, deadline, [] { return false; })) ++timed_out;
+      });
+    clock.advance(std::chrono::milliseconds(10));
+    for (std::thread& t : waiters) t.join();
+    EXPECT_EQ(timed_out.load(), 4);
+  }
+}
+
+TEST(Clock, ManualClockWaitStillWakesOnNotify) {
+  ManualClock clock;
+  support::ScopedClock use_clock(clock);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool ready = false;
+  std::thread notifier([&] {
+    {
+      std::lock_guard<std::mutex> guard(mu);
+      ready = true;
+    }
+    cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(mu);
+  EXPECT_TRUE(support::wait_until(cv, lock, clock.now() + std::chrono::hours(1),
+                                  [&] { return ready; }));
+  EXPECT_EQ(support::now(), clock.now());  // no time passed
+  lock.unlock();
+  notifier.join();
 }
 
 }  // namespace
